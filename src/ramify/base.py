@@ -22,12 +22,9 @@ slot overflow is impossible while prec * (p-1)^2 < 2^16.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 _SLOT = 16
-_MASK = (1 << _SLOT) - 1
 
 
 class _Infinity:
@@ -217,8 +214,6 @@ class GroundField:
             return x
         raise TypeError("cannot embed %r into %r" % (x, self))
 
-    embed_scalar = embed
-
     def residue_inverse(self, r: int) -> int:
         return pow(r, -1, self.p)
 
@@ -227,7 +222,45 @@ class GroundField:
         return "%s [prec %d]" % (name, self.prec)
 
 
-class BaseScalar:
+class RingElement:
+    """Subtraction and powers on top of a subclass's ``_peer``, ``__add__``,
+    ``__neg__``, ``__mul__``, ``unit_inverse`` and ``floor.one()``.
+
+    Each subclass defines its own ``__add__`` and ``__mul__`` (and their
+    reflections): bench/spans.py counts them through the class body.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.unit_inverse() ** (-e)
+        if e == 0:
+            return self.floor.one()
+        out = None
+        sq = self
+        while e:
+            if e & 1:
+                out = sq if out is None else out * sq
+            e >>= 1
+            if e:
+                sq = sq * sq
+        return out
+
+
+class BaseScalar(RingElement):
     """One element of a ground field, known to ``prec`` digits."""
 
     __slots__ = ("field", "data", "prec", "exact_zero")
@@ -280,18 +313,6 @@ class BaseScalar:
             data = (-self.data) % f.ppow(self.prec)
         return BaseScalar(f, data, self.prec, self.exact_zero)
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
@@ -307,21 +328,6 @@ class BaseScalar:
         return BaseScalar(f, data, m, False)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        if e == 0:
-            return self.field.one()
-        out = None
-        sq = self
-        while e:
-            if e & 1:
-                out = sq if out is None else out * sq
-            e >>= 1
-            if e:
-                sq = sq * sq
-        return out
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -357,14 +363,6 @@ class BaseScalar:
             "valuation undetermined: zero to precision %d" % self.prec,
             bound=self.prec,
         )
-
-    def valuation_lower_bound(self):
-        if self.exact_zero:
-            return INFINITY
-        try:
-            return self.valuation()
-        except PrecisionExhausted:
-            return self.prec
 
     def has_valuation_at_least(self, k) -> bool:
         if self.exact_zero:
@@ -431,13 +429,6 @@ class BaseScalar:
             for k, c in enumerate(self.data) if c
         ]
         return "%s + O(t^%d)" % (" + ".join(terms) or "0", self.prec)
-
-
-class Digit(NamedTuple):
-    """A residue digit together with its Teichmuller lift."""
-
-    residue: int
-    lift: BaseScalar
 
 
 def digit_expand_base(x, count: int):

@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .base import INFINITY, GroundField, vp
+from .base import INFINITY, GroundField
 from .copolygon import VK, VL, fstar, truncated_psi, valuation_function
 from .errors import (
     BadTameDegree,
@@ -39,13 +39,14 @@ from .errors import (
     PrecisionExhausted,
     TheoremViolation,
 )
-from .extension import EisensteinPoly, attach_eisenstein, different_exponent
+from .extension import EisensteinPoly, attach_eisenstein
 from .invariants import inseparability_profile, phi
 from .oracle import FULL, REDUCED, capital_phi
 from .series import evaluate, expand_digits
 from .tower import (
     compose_tower,
-    default_horizon,
+    expansion_horizon,
+    expansion_room,
     ge_report,
     lambda_l,
     tame_lift_tower,
@@ -96,6 +97,9 @@ def load_job(path):
     p = job["p"]
     mode = job["mode"]
     precision = job["precision"]
+    for key, value in (("p", p), ("precision", precision)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError("%s must be an integer, got %r" % (key, value))
     if mode == "EQUAL":
         ground = GroundField.equal_char(p, precision)
     elif mode == "MIXED":
@@ -132,26 +136,27 @@ def pick_field(job, name):
     return name
 
 
-def base_horizon(floor):
-    return default_horizon(
-        different_exponent(floor), floor.degree, vp(floor.degree, floor.p),
-        floor.p_valuation(), floor.ceiling - floor.degree - 4,
-    )
-
-
-def floor_series(floor, horizon=None):
+def floor_profile(floor):
+    """The series of pi_base on a floor, and the profile read from it."""
     target = floor.embed(floor.base.uniformizer())
-    return expand_digits(target, horizon or base_horizon(floor))
+    series = expand_digits(target, expansion_horizon(floor, floor.base))
+    return series, inseparability_profile(series, floor.p_valuation())
 
 
-def sweep_horizon(floor, cmax):
-    """Two-phase horizon: profile once, then size for the oracle probes."""
-    return sweep_ready(floor, floor.embed(floor.base.uniformizer()),
-                       base_horizon(floor), cmax)
+def swept_profile(top, base, cmax):
+    """The series of pi_base on top, deep enough for a sweep to cmax."""
+    return sweep_ready(top, top.embed(base.uniformizer()),
+                       expansion_horizon(top, base), cmax)
 
 
 def fraction_arg(text):
     return Fraction(text)
+
+
+def nonnegative(flag, value):
+    """Break functions and probes live on x >= 0."""
+    if value is not None and value < 0:
+        raise ValueError("%s must be nonnegative, got %s" % (flag, value))
 
 
 def ser(value):
@@ -188,8 +193,7 @@ def parse_u(floor, text):
 
 def cmd_invariants(job, args):
     floor = job["floors"][pick_field(job, args.field)]
-    series = floor_series(floor)
-    profile = inseparability_profile(series, floor.p_valuation())
+    _, profile = floor_profile(floor)
     return {
         "n": profile.n,
         "nu": profile.nu,
@@ -199,9 +203,9 @@ def cmd_invariants(job, args):
 
 
 def cmd_phi(job, args):
+    nonnegative("--at", args.at)
     floor = job["floors"][pick_field(job, args.field)]
-    series = floor_series(floor)
-    profile = inseparability_profile(series, floor.p_valuation())
+    _, profile = floor_profile(floor)
     if not 0 <= args.j <= profile.nu:
         raise ValueError("j must lie in [0, %d]" % profile.nu)
     fun = phi(profile, args.j)
@@ -218,8 +222,7 @@ def cmd_phi(job, args):
 
 def cmd_copolygon(job, args):
     floor = job["floors"][pick_field(job, args.field)]
-    series = floor_series(floor)
-    profile = inseparability_profile(series, floor.p_valuation())
+    series, profile = floor_profile(floor)
     es = fstar(series, floor)
     norm = VK if args.norm == "vK" else VL
     if norm == VK:
@@ -238,8 +241,9 @@ def cmd_copolygon(job, args):
 
 
 def cmd_oracle(job, args):
+    nonnegative("--c", args.c)
     floor = job["floors"][pick_field(job, args.field)]
-    series, profile = sweep_horizon(floor, args.c)
+    series, profile = swept_profile(floor, floor.base, args.c)
     if not 0 <= args.j <= profile.nu:
         raise ValueError("j must lie in [0, %d]" % profile.nu)
     flavor = REDUCED if args.flavor == "reduced" else FULL
@@ -257,14 +261,15 @@ def cmd_oracle(job, args):
 
 
 def cmd_tame(job, args):
+    if args.e < 1:
+        raise ValueError("--e must be positive, got %d" % args.e)
     floor = job["floors"][pick_field(job, args.field)]
     lift = tame_lift_tower(floor, args.e)
     target = evaluate(lift.series, lift.floor.uniformizer())
-    horizon = min(lift.series.horizon,
-                  lift.floor.ceiling - lift.floor.degree - 4)
-    expanded = expand_digits(target, horizon)
+    # e(H-1)+1 digits always fit: the base room H scales by e on the lift
+    expanded = expand_digits(target, lift.series.horizon)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())
-    base = inseparability_profile(floor_series(floor), floor.p_valuation())
+    _, base = floor_profile(floor)
     scaled = [args.e * v if v is not INFINITY else None for v in base.i]
     return {
         "e": args.e,
@@ -277,6 +282,7 @@ def cmd_tame(job, args):
 def cmd_tower(job, args):
     if len(job["order"]) != 2:
         raise ValueError("tower reports need a job with exactly two steps")
+    nonnegative("--at", args.at)
     lower = job["floors"][job["order"][0]]
     upper = job["floors"][job["order"][1]]
     T = compose_tower(lower.poly, upper.poly)
@@ -298,23 +304,18 @@ def cmd_tower(job, args):
 
 
 def cmd_verify(job, args):
-    if args.cmax < 0:
-        raise ValueError("cmax must be nonnegative")
+    nonnegative("--cmax", args.cmax)
     fields, ok = {}, True
     for name in job["order"]:
         floor = job["floors"][name]
-        series, profile = sweep_ready(
-            floor, floor.embed(floor.base.uniformizer()), base_horizon(floor),
-            args.cmax)
+        series, profile = swept_profile(floor, floor.base, args.cmax)
         rows, good = oracle_grid(floor, series, profile, args.cmax)
         fields[name] = {"ok": good, "rows": rows}
         ok = ok and good
     if len(job["order"]) >= 2:
         # composed chain: expand the ground uniformizer on the top floor
         top = job["floors"][job["order"][-1]]
-        target = top.embed(job["ground"].uniformizer())
-        series, profile = sweep_ready(
-            top, target, composed_horizon(top), args.cmax)
+        series, profile = swept_profile(top, job["ground"], args.cmax)
         rows, good = oracle_grid(top, series, profile, args.cmax)
         fields["/".join([job["order"][-1], "K"])] = {"ok": good, "rows": rows}
         ok = ok and good
@@ -326,11 +327,7 @@ def sweep_ready(floor, target, first_horizon, cmax):
     series = expand_digits(target, first_horizon)
     profile = inseparability_profile(series, floor.p_valuation())
     need = profile.i[0] + floor.p ** profile.nu * cmax + 2
-    room = floor.ceiling - series.offset - 4
-    if need > room:
-        raise PrecisionExhausted(
-            "sweep to c=%d needs horizon %d, only %d available; raise the "
-            "job precision" % (cmax, need, room), bound=room)
+    expansion_room(floor, series.offset, need)
     if need > series.horizon:
         series = expand_digits(target, need)
         profile = inseparability_profile(series, floor.p_valuation())
@@ -351,16 +348,8 @@ def oracle_grid(floor, series, profile, cmax):
 
 
 def composed_horizon(top):
-    d = different_exponent(top)
-    walk, scale = top, 1
-    while walk.base is not walk.ground:
-        scale *= walk.degree
-        walk = walk.base
-        d += scale * different_exponent(walk)
-    degree = top.absolute_degree
-    nu = vp(degree, top.p)
-    return default_horizon(d, degree, nu, top.p_valuation(),
-                           top.ceiling - degree - 4)
+    """Horizon for the ground uniformizer expanded on the top floor."""
+    return expansion_horizon(top, top.ground)
 
 
 def emit(payload, tsv=False):

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from .base import vp
 from .errors import PrecisionExhausted
-from .oracle import DualRing
+from .oracle import _probe
 from .plfun import Line, PLFunction
-from .series import evaluate
 
 VK = "vK"
 VL = "vL"
@@ -57,9 +56,7 @@ def fstar(F, floor, order=None) -> EpsilonSeries:
     n = F.offset
     if order is None:
         order = p ** (vp(n, p) + 1) - 1
-    ring = DualRing(floor, order + 1)
-    pi = floor.uniformizer()
-    w = evaluate(F, ring.element([pi, pi]))
+    w = _probe(F, floor, 0, 1, order + 1)
     target = w.coeffs[0]
     if target.valuation() != n:
         raise PrecisionExhausted("series does not carry valuation %d" % n)

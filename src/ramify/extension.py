@@ -15,7 +15,7 @@ queries certifiable even at finite precision.
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar
+from .base import INFINITY, BaseScalar, RingElement
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -123,8 +123,6 @@ class EisensteinFloor:
         z = self.base.zero()
         return FloorElement(self, (x,) + (z,) * (self.degree - 1))
 
-    embed_scalar = embed
-
     def residue_inverse(self, r):
         return self.ground.residue_inverse(r)
 
@@ -137,7 +135,7 @@ class EisensteinFloor:
         return "%r[pi] deg %d" % (self.base, self.degree)
 
 
-class FloorElement:
+class FloorElement(RingElement):
     """Coordinate vector over the base floor; supports ring ops and udiv."""
 
     __slots__ = ("floor", "coords")
@@ -174,18 +172,6 @@ class FloorElement:
     def __neg__(self):
         return FloorElement(self.floor, tuple(-a for a in self.coords))
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return FloorElement(self.floor, tuple(c * other for c in self.coords))
@@ -214,21 +200,6 @@ class FloorElement:
         return FloorElement(self.floor, tuple(buf[:n]))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        if e == 0:
-            return self.floor.one()
-        out = None
-        sq = self
-        while e:
-            if e & 1:
-                out = sq if out is None else out * sq
-            e >>= 1
-            if e:
-                sq = sq * sq
-        return out
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -270,10 +241,6 @@ class FloorElement:
         if best is INFINITY and pending is INFINITY:
             return INFINITY
         return best
-
-    def valuation_lower_bound(self):
-        best, pending = self._val_parts()
-        return min(best, pending)
 
     def has_valuation_at_least(self, k):
         best, pending = self._val_parts()

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 
+from .base import RingElement
 from .errors import PrecisionExhausted, TheoremViolation
-from .series import DigitSeries, GeneralSeries, evaluate
+from .series import GeneralSeries, evaluate
 
 FULL = "full"
 REDUCED = "reduced"
@@ -41,13 +42,12 @@ class DualRing:
         self.floor_ref = floor
         self.nil = nil
 
-    @classmethod
-    def for_level(cls, floor, j, flavor=FULL):
-        return cls(floor, nilpotency(floor.p, j, flavor))
-
     def zero(self):
         z = self.floor_ref.zero()
         return DualElement(self, (z,) * self.nil)
+
+    def one(self):
+        return self.embed(self.floor_ref.one())
 
     def embed(self, x):
         z = self.floor_ref.zero()
@@ -65,7 +65,7 @@ class DualRing:
         return "DualRing(nil=%d over %r)" % (self.nil, self.floor_ref)
 
 
-class DualElement:
+class DualElement(RingElement):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
@@ -101,12 +101,6 @@ class DualElement:
     def __neg__(self):
         return DualElement(self.ring, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
@@ -125,20 +119,8 @@ class DualElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers not supported in the dual ring")
-        if e == 0:
-            return self.ring.embed(self.ring.floor_ref.one())
-        out = None
-        sq = self
-        while e:
-            if e & 1:
-                out = sq if out is None else out * sq
-            e >>= 1
-            if e:
-                sq = sq * sq
-        return out
+    def unit_inverse(self):
+        raise ValueError("negative powers not supported in the dual ring")
 
     def __repr__(self):
         return "DualElement(%r)" % (list(self.coeffs),)
@@ -163,15 +145,11 @@ def _congruent(w, n, d) -> bool:
     return all(x.has_valuation_at_least(n + d) for x in w.coeffs[1:])
 
 
-def _cap(F) -> int:
-    return F.horizon
-
-
 def perturbed_eval(F, floor, c, j, u=1, d=0, flavor=FULL) -> bool:
     """Whether F(pi + u pi^(c+1) eps_j) stays congruent to F(pi) mod pi^(n+d)."""
-    if d > _cap(F):
+    if d > F.horizon:
         raise PrecisionExhausted(
-            "congruence depth %d exceeds series horizon %d" % (d, _cap(F))
+            "congruence depth %d exceeds series horizon %d" % (d, F.horizon)
         )
     w = _probe(F, floor, c, u, nilpotency(floor.p, j, flavor))
     return _congruent(w, F.offset, d)
@@ -181,12 +159,11 @@ def capital_phi(F, floor, c, j, flavor=FULL, u=1) -> int:
     """Largest d for which the perturbed congruence holds, searched upward from c."""
     w = _probe(F, floor, c, u, nilpotency(floor.p, j, flavor))
     n = F.offset
-    cap = _cap(F)
     d = c
     if not _congruent(w, n, d):
         raise TheoremViolation("congruence fails already at d = c = %d" % c)
     while True:
-        if d + 1 > cap:
+        if d + 1 > F.horizon:
             raise PrecisionExhausted(
                 "congruence still holds at the horizon cap d = %d" % d
             )
@@ -218,9 +195,9 @@ def dpower(F, m: int):
 
 def divided_congruence(F, floor, c, j, d, flavor=FULL) -> bool:
     """Same congruence via the divided series, an independent expansion route."""
-    if d > _cap(F):
+    if d > F.horizon:
         raise PrecisionExhausted(
-            "congruence depth %d exceeds series horizon %d" % (d, _cap(F))
+            "congruence depth %d exceeds series horizon %d" % (d, F.horizon)
         )
     n = F.offset
     pi = floor.uniformizer()

@@ -12,7 +12,7 @@ functions iff their canonical line tuples coincide.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Line(NamedTuple):
@@ -30,14 +30,6 @@ class PLFunction:
 
     def __init__(self, lines):
         self.lines = _canonical(lines)
-
-    @classmethod
-    def from_lines(cls, lines: Iterable) -> "PLFunction":
-        return cls([Line(Fraction(a), int(s)) for a, s in lines])
-
-    @classmethod
-    def single(cls, intercept, slope) -> "PLFunction":
-        return cls.from_lines([(intercept, slope)])
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -150,11 +142,3 @@ def _canonical(lines):
         hull.append(ln)
         starts.append(start)
     return tuple(hull)
-
-
-def envelope_min(f: PLFunction, g: PLFunction) -> PLFunction:
-    return f.min_with(g)
-
-
-def identity_line() -> PLFunction:
-    return PLFunction.single(0, 1)

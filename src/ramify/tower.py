@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import INFINITY, vp
-from .errors import NotEisenstein, NotSeparable, TheoremViolation
+from .errors import (
+    NotEisenstein,
+    NotSeparable,
+    PrecisionExhausted,
+    TheoremViolation,
+)
 from .extension import (
     EisensteinFloor,
     EisensteinPoly,
@@ -122,6 +127,42 @@ def default_horizon(d_exp, offset, wild, p_val, room):
     return min(h, room)
 
 
+def expansion_room(top, offset, need=1):
+    """Digits an expansion of valuation ``offset`` may track on ``top``.
+
+    The room is the ceiling less the offset and four guard digits.  When
+    fewer than ``need`` digits fit, PrecisionExhausted names the smallest
+    job precision at which they would.
+    """
+    room = top.ceiling - offset - 4
+    if room < need:
+        enough = -(-(need + offset + 4) // top.absolute_degree)
+        raise PrecisionExhausted(
+            "%d digit(s) needed past offset %d, %d fit below the ceiling "
+            "%d; they fit from job precision %d on"
+            % (need, offset, max(room, 0), top.ceiling, enough))
+    return room
+
+
+def expansion_horizon(top, base):
+    """Digit horizon for expanding pi_base on the floor ``top``.
+
+    Walks the floors from ``top`` down to ``base``: the different
+    exponents add up, each scaled by the degree of the floors above it,
+    and the offset is the product of the degrees.
+    """
+    d = different_exponent(top)
+    offset, walk = top.degree, top.base
+    while walk is not base:
+        d += offset * different_exponent(walk)
+        offset *= walk.degree
+        walk = walk.base
+    # an inseparable step is refused as bad input whatever the precision
+    room = 0 if d is INFINITY else expansion_room(top, offset)
+    return default_horizon(d, offset, vp(offset, top.p), top.p_valuation(),
+                           room)
+
+
 def _expand_profile(floor, target, horizon):
     series = expand_digits(floor.embed(target), horizon)
     profile = inseparability_profile(series, floor.p_valuation())
@@ -151,25 +192,12 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None,
         )
     ground = L.base
     M = attach_eisenstein(L, E2)
-    n, m = L.degree, M.degree
-    p = ground.p
-    nu, mu = vp(n, p), vp(m, p)
-
-    d_L = different_exponent(L)
-    d_M = different_exponent(M)
     if lower_horizon is None:
-        lower_horizon = default_horizon(
-            d_L, n, nu, L.p_valuation(), L.ceiling - n - 4
-        )
+        lower_horizon = expansion_horizon(L, ground)
     if upper_horizon is None:
-        upper_horizon = default_horizon(
-            d_M, m, mu, M.p_valuation(), M.ceiling - m - 4
-        )
+        upper_horizon = expansion_horizon(M, L)
     if H is None:
-        H = default_horizon(
-            d_M + m * d_L, n * m, nu + mu, M.p_valuation(),
-            M.ceiling - n * m - 4,
-        )
+        H = expansion_horizon(M, ground)
 
     piK = ground.uniformizer()
     lower_series, lower = _expand_profile(L, piK, lower_horizon)
@@ -180,7 +208,7 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None,
         _check_formal_composite(M, lower_series, upper_series, composed_series)
 
     return TowerProfile(
-        p, L, M, lower, upper, composed,
+        ground.p, L, M, lower, upper, composed,
         lower_series, upper_series, composed_series,
     )
 
@@ -282,10 +310,7 @@ def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:
     """
     base = floor.base
     if horizon is None:
-        horizon = default_horizon(
-            different_exponent(floor), floor.degree, vp(floor.degree, floor.p),
-            floor.p_valuation(), floor.ceiling - floor.degree - 4,
-        )
+        horizon = expansion_horizon(floor, base)
     series = expand_digits(floor.embed(base.uniformizer()), horizon)
     series = normalize_leading_digit(series)
     lifted = eth_root_substitute(series, e)

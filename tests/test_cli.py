@@ -229,3 +229,45 @@ def test_exit_code_inseparable(tmp_path, capsys):
     }
     job = _write(tmp_path, bad)
     assert main(["invariants", job]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["phi", "--j", "1", "--at", "-3"], "--at"),
+    (["oracle", "--j", "0", "--c", "-2"], "--c"),
+    (["tame", "--e", "-1"], "--e"),
+])
+def test_out_of_domain_flags_rejected(tmp_path, capsys, argv, flag):
+    job = _write(tmp_path, F2_QUADRATIC)
+    assert main([argv[0], job] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
+def test_tower_at_negative_rejected(tmp_path, capsys):
+    job = _write(tmp_path, TOWER)
+    assert main(["tower", job, "--l", "0", "--at", "-1"]) == 2
+    assert "--at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("precision", 64.0), ("precision", "64"), ("p", 2.0), ("p", True),
+])
+def test_non_integer_job_numbers_rejected(tmp_path, capsys, key, value):
+    job = _write(tmp_path, dict(F2_QUADRATIC, **{key: value}))
+    assert main(["invariants", job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be an integer" % key)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tame", "--e", "3"],
+    ["invariants"],
+    ["copolygon"],
+    ["oracle", "--j", "0", "--c", "1"],
+])
+def test_no_digit_fits_exits_3(tmp_path, capsys, argv):
+    job = _write(tmp_path, dict(F2_QUADRATIC, precision=3))
+    assert main([argv[0], job] + argv[1:]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "from job precision 4 on" in err

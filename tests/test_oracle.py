@@ -136,3 +136,18 @@ def test_probe_depth_is_capped(f2_quadratic):
     F, L = f2_quadratic.series, f2_quadratic.floor
     with pytest.raises(PrecisionExhausted):
         perturbed_eval(F, L, 0, 1, d=F.horizon + 1)
+
+
+def test_dual_ring_powers(f2_quadratic):
+    L = f2_quadratic.floor
+    ring = DualRing(L, 4)
+    x = ring.element([L.uniformizer(), L.one()])
+
+    def same(a, b):
+        return all(u == v for u, v in zip(a.coeffs, b.coeffs))
+
+    assert same(x ** 0, ring.one())
+    assert same(x ** 3, x * x * x)
+    assert same(1 - x, ring.one() + (-x))
+    with pytest.raises(ValueError):
+        x ** -1

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from ramify.base import GroundField
-from ramify.errors import BadTameDegree, NotEisenstein, NotSeparable
-from ramify.extension import EisensteinPoly, attach_eisenstein
+from ramify.base import GroundField, vp
+from ramify.cli import composed_horizon
+from ramify.errors import (
+    BadTameDegree,
+    NotEisenstein,
+    NotSeparable,
+    PrecisionExhausted,
+)
+from ramify.extension import EisensteinPoly, attach_eisenstein, different_exponent
 from ramify.invariants import inseparability_profile, phi
 from ramify.oracle import capital_phi
 from ramify.plfun import Line, PLFunction
@@ -14,6 +20,8 @@ from ramify.series import evaluate, expand_digits
 from ramify.tower import (
     compose_tower,
     corollary_report,
+    default_horizon,
+    expansion_horizon,
     ge_report,
     lambda_l,
     s_sets,
@@ -186,3 +194,50 @@ def test_inseparable_step_is_rejected():
     E2 = EisensteinPoly([L.uniformizer(), L.zero()])
     with pytest.raises(NotSeparable):
         compose_tower(E1, E2)
+    # bad input outranks a precision shortfall
+    K = GroundField.equal_char(2, 3)
+    L = attach_eisenstein(K, EisensteinPoly([K.uniformizer(), K.zero()]))
+    with pytest.raises(NotSeparable):
+        expansion_horizon(L, K)
+
+
+def _readme_tower(mode):
+    # X^2 + pi X + pi over F_2((t)) or Q_2, then Y^2 + pi_L Y + pi_L
+    K = GroundField.equal_char(2, 64) if mode == "equal" \
+        else GroundField.mixed_char(2, 64)
+    pi = K.uniformizer()
+    E1 = EisensteinPoly([pi, pi])
+    piL = attach_eisenstein(K, E1).uniformizer()
+    return K, compose_tower(E1, EisensteinPoly([piL, piL]))
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_every_horizon_is_an_expansion_horizon(mode):
+    K, T = _readme_tower(mode)
+    L, M = T.lower_floor, T.upper_floor
+    assert T.lower_series.horizon == expansion_horizon(L, K)
+    assert T.upper_series.horizon == expansion_horizon(M, L)
+    assert T.composed_series.horizon == expansion_horizon(M, K)
+    assert composed_horizon(M) == expansion_horizon(M, K)
+    # the walk from M down to K is the composite's hand-built horizon
+    n, m = L.degree, M.degree
+    assert expansion_horizon(M, K) == default_horizon(
+        different_exponent(M) + m * different_exponent(L), n * m,
+        vp(n * m, 2), M.p_valuation(), M.ceiling - n * m - 4)
+
+
+def test_expansion_horizon_refuses_when_no_digit_fits():
+    # X^2 + tX + t: at precision 3 the ceiling 6 leaves no room past
+    # offset 2 and the four guard digits; precision 4 leaves two digits
+    def floor(prec):
+        K = GroundField.equal_char(2, prec)
+        t = K.uniformizer()
+        return K, attach_eisenstein(K, EisensteinPoly([t, t]))
+
+    K, L = floor(3)
+    with pytest.raises(PrecisionExhausted, match="from job precision 4 on"):
+        expansion_horizon(L, K)
+    with pytest.raises(PrecisionExhausted):
+        tame_lift_tower(L, 3)
+    K, L = floor(4)
+    assert expansion_horizon(L, K) == 2
