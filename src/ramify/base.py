@@ -109,6 +109,23 @@ def _poly_mul_trunc(a, b, p, out_len):
     )
 
 
+def _convolve(a, b, out_len, zero):
+    """Schoolbook product of two coefficient sequences, cut at ``out_len``.
+
+    Only exact zeros are skipped: a coefficient that is merely zero to
+    precision still carries its precision into every term it touches.
+    """
+    buf = [zero] * out_len
+    for i, ai in enumerate(a[:out_len]):
+        if ai.exact_zero:
+            continue
+        for j, bj in enumerate(b[: out_len - i]):
+            if bj.exact_zero:
+                continue
+            buf[i + j] = buf[i + j] + ai * bj
+    return buf
+
+
 class GroundField:
     """F_p((t)) or Q_p at a fixed default precision.
 
@@ -435,15 +452,19 @@ def digit_expand_base(x, count: int):
     """First ``count`` Teichmuller digits of an integral element x.
 
     Works over any floor: x = sum_k lift(d_k) * pi^k + O(pi^count), where
-    pi is the uniformizer of x's floor.  Returns the residues d_k.
+    pi is the uniformizer of x's floor.  Returns the residues d_k; the
+    list is shorter than ``count`` when the tracked digits of x run out.
     """
     floor = x.floor
     out = []
     r = x
-    for _ in range(count):
-        d = r.residue()
-        out.append(d)
-        if d:
-            r = r - floor.teichmuller(d)
-        r = r.udiv(1)
+    try:
+        for _ in range(count):
+            d = r.residue()
+            out.append(d)
+            if d:
+                r = r - floor.teichmuller(d)
+            r = r.udiv(1)
+    except PrecisionExhausted:
+        pass
     return out

@@ -50,12 +50,14 @@ class EpsilonSeries:
         return "EpsilonSeries(n=%d, order=%d)" % (self.n, self.order)
 
 
-def fstar(F, floor, order=None) -> EpsilonSeries:
-    """Expansion of (image of base uniformizer)^(-1) * (F(pi(1+eps)) - F(pi))."""
+def fstar(F, floor) -> EpsilonSeries:
+    """Expansion of (image of base uniformizer)^(-1) * (F(pi(1+eps)) - F(pi)).
+
+    It runs to eps-degree p^(nu+1) - 1, where p^nu is the p-part of n.
+    """
     p = floor.p
     n = F.offset
-    if order is None:
-        order = p ** (vp(n, p) + 1) - 1
+    order = p ** (vp(n, p) + 1) - 1
     w = _probe(F, floor, 0, 1, order + 1)
     target = w.coeffs[0]
     if target.valuation() != n:

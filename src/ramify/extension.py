@@ -15,7 +15,7 @@ queries certifiable even at finite precision.
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar, RingElement
+from .base import INFINITY, BaseScalar, RingElement, _convolve
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -179,16 +179,7 @@ class FloorElement(RingElement):
         if o is None:
             return NotImplemented
         n = self.floor.degree
-        a, b = self.coords, o.coords
-        zero = self.floor.base.zero()
-        buf = [zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai.exact_zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj.exact_zero:
-                    continue
-                buf[i + j] = buf[i + j] + ai * bj
+        buf = _convolve(self.coords, o.coords, 2 * n - 1, self.floor.base.zero())
         cs = self.floor.poly.coeffs
         for k in range(2 * n - 2, n - 1, -1):
             top = buf[k]

@@ -1,11 +1,12 @@
 """Dual-number oracle for the break functions.
 
 The probe ring is floor[eps] with eps nilpotent: order p^(j+1) for the
-full flavor, p^j + 1 for the reduced one.  Evaluating the digit series
-at pi + u*pi^(c+1)*eps and asking how deep the result stays congruent
-to its eps-free part measures the j-th break function at c without ever
-touching the index recursion, which is what makes it a trustworthy
-cross-check.
+full flavor, p^j + 1 for the reduced one.  It is the truncated
+power-series ring DualRing of ramify.series, re-exported here.
+Evaluating the digit series at pi + u*pi^(c+1)*eps and asking how deep
+the result stays congruent to its eps-free part measures the j-th break
+function at c without ever touching the index recursion, which is what
+makes it a trustworthy cross-check.
 
 Truncating the series at horizon H perturbs every eps coefficient only
 at valuation n+H or deeper, so congruences mod pi^(n+d) are decided
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .base import RingElement
 from .errors import PrecisionExhausted, TheoremViolation
-from .series import GeneralSeries, evaluate
+# bench/spans.py counts DualElement's ring operations through this module
+from .series import DualElement, DualRing, GeneralSeries, evaluate  # noqa: F401
 
 FULL = "full"
 REDUCED = "reduced"
@@ -31,99 +32,6 @@ def nilpotency(p: int, j: int, flavor: str) -> int:
     if flavor == REDUCED:
         return p ** j + 1
     raise ValueError("flavor must be %r or %r" % (FULL, REDUCED))
-
-
-class DualRing:
-    """floor[eps] / (eps^nil); elements keep full coefficient precision."""
-
-    __slots__ = ("floor_ref", "nil")
-
-    def __init__(self, floor, nil):
-        self.floor_ref = floor
-        self.nil = nil
-
-    def zero(self):
-        z = self.floor_ref.zero()
-        return DualElement(self, (z,) * self.nil)
-
-    def one(self):
-        return self.embed(self.floor_ref.one())
-
-    def embed(self, x):
-        z = self.floor_ref.zero()
-        return DualElement(self, (self.floor_ref.embed(x),) + (z,) * (self.nil - 1))
-
-    def teichmuller(self, r):
-        return self.embed(self.floor_ref.teichmuller(r))
-
-    def element(self, coeffs):
-        coeffs = [self.floor_ref.embed(c) for c in coeffs[: self.nil]]
-        z = self.floor_ref.zero()
-        return DualElement(self, tuple(coeffs) + (z,) * (self.nil - len(coeffs)))
-
-    def __repr__(self):
-        return "DualRing(nil=%d over %r)" % (self.nil, self.floor_ref)
-
-
-class DualElement(RingElement):
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def floor(self):
-        return self.ring
-
-    def _peer(self, other):
-        if isinstance(other, DualElement):
-            if other.ring is not self.ring:
-                raise TypeError("elements from different dual rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.embed(self.ring.floor_ref.from_int(other))
-        try:
-            return self.ring.embed(other)
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return DualElement(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualElement(self.ring, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        nil = self.ring.nil
-        buf = list(self.ring.zero().coeffs)
-        for i, ai in enumerate(self.coeffs):
-            if ai.exact_zero:
-                continue
-            for j in range(nil - i):
-                bj = o.coeffs[j]
-                if bj.exact_zero:
-                    continue
-                buf[i + j] = buf[i + j] + ai * bj
-        return DualElement(self.ring, tuple(buf))
-
-    __rmul__ = __mul__
-
-    def unit_inverse(self):
-        raise ValueError("negative powers not supported in the dual ring")
-
-    def __repr__(self):
-        return "DualElement(%r)" % (list(self.coeffs),)
 
 
 def _probe(F, floor, c, u, nil):

@@ -9,13 +9,18 @@ A general series is the same shape with arbitrary ground-field scalars
 as coefficients.  It shows up as the e-th root produced by tame twists,
 as a formal composite of two digit series, and as a digit series plus a
 multiple of the Eisenstein polynomial.
+
+Truncated power series live in DualRing, floor[eps] / (eps^nil) over
+any floor or the ground field.  The oracle perturbs the uniformizer in
+it; here the composite of two series is one evaluation in it, and the
+e-th root is solved digit by digit with its powers.
 """
 
 from __future__ import annotations
 
 import math
 
-from .base import digit_expand_base
+from .base import RingElement, _convolve, digit_expand_base
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
@@ -39,9 +44,6 @@ class DigitSeries:
 
     def support(self):
         return tuple(h for h, d in enumerate(self.digits) if d)
-
-    def coeff_lifted(self, ring, h):
-        return ring.teichmuller(self.digits[h])
 
     def coeff_scalar(self, h):
         return self.ground.teichmuller(self.digits[h])
@@ -77,14 +79,93 @@ class GeneralSeries:
             h for h, c in enumerate(self.coeffs) if not c.is_zero_to_precision()
         )
 
-    def coeff_lifted(self, ring, h):
-        return ring.embed(self.coeffs[h])
-
     def coeff_scalar(self, h):
         return self.coeffs[h]
 
     def __repr__(self):
         return "GeneralSeries(offset=%d, horizon=%d)" % (self.offset, self.horizon)
+
+
+class DualRing:
+    """floor[eps] / (eps^nil); elements keep full coefficient precision."""
+
+    __slots__ = ("floor_ref", "nil")
+
+    def __init__(self, floor, nil):
+        self.floor_ref = floor
+        self.nil = nil
+
+    def zero(self):
+        return self.element(())
+
+    def one(self):
+        return self.element((self.floor_ref.one(),))
+
+    def embed(self, x):
+        return self.element((x,))
+
+    def element(self, coeffs):
+        """sum coeffs[i] * eps^i cut at eps^nil, coefficients from any floor."""
+        coeffs = [self.floor_ref.embed(c) for c in coeffs[: self.nil]]
+        z = self.floor_ref.zero()
+        return DualElement(self, tuple(coeffs) + (z,) * (self.nil - len(coeffs)))
+
+    def __repr__(self):
+        return "DualRing(nil=%d over %r)" % (self.nil, self.floor_ref)
+
+
+class DualElement(RingElement):
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def floor(self):
+        return self.ring
+
+    def _peer(self, other):
+        if isinstance(other, DualElement):
+            if other.ring is not self.ring:
+                raise TypeError("elements from different dual rings")
+            return other
+        if isinstance(other, int):
+            return self.ring.embed(self.ring.floor_ref.from_int(other))
+        try:
+            return self.ring.embed(other)
+        except TypeError:
+            return None
+
+    def __add__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return DualElement(
+            self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DualElement(self.ring, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        ring = self.ring
+        return DualElement(
+            ring, _convolve(self.coeffs, o.coeffs, ring.nil, ring.floor_ref.zero())
+        )
+
+    __rmul__ = __mul__
+
+    def unit_inverse(self):
+        raise ValueError("negative powers not supported in the dual ring")
+
+    def __repr__(self):
+        return "DualElement(%r)" % (list(self.coeffs),)
 
 
 def expand_digits(target, horizon):
@@ -96,7 +177,12 @@ def expand_digits(target, horizon):
     n = target.valuation()
     unit = target.udiv(n)
     digits = digit_expand_base(unit, horizon)
-    return DigitSeries(n, digits, target.floor.ground)
+    ground = target.floor.ground
+    if len(digits) < horizon:
+        raise PrecisionExhausted(
+            "the digit expansion ran dry: %d of %d digits past offset %d "
+            "at ground precision %d" % (len(digits), horizon, n, ground.prec))
+    return DigitSeries(n, digits, ground)
 
 
 def evaluate(series, x):
@@ -104,7 +190,7 @@ def evaluate(series, x):
     ring = x.floor
     acc = ring.zero()
     for h in range(series.horizon - 1, -1, -1):
-        acc = acc * x + series.coeff_lifted(ring, h)
+        acc = acc * x + ring.embed(series.coeff_scalar(h))
     return acc * x ** series.offset
 
 
@@ -138,37 +224,6 @@ def alternate_series(series: DigitSeries, poly) -> GeneralSeries:
     return GeneralSeries(n, coeffs)
 
 
-# -- dense polynomial helpers over ground scalars ----------------------
-
-
-def _poly_mul(a, b, out_len, zero):
-    buf = [zero] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if ai.is_zero_to_precision():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= out_len:
-                break
-            if bj.is_zero_to_precision():
-                continue
-            buf[i + j] = buf[i + j] + ai * bj
-    return buf
-
-
-def _poly_pow(a, e, out_len, zero, one):
-    out = [one]
-    sq = list(a[:out_len])
-    while e:
-        if e & 1:
-            out = _poly_mul(out, sq, out_len, zero)
-        e >>= 1
-        if e:
-            sq = _poly_mul(sq, sq, out_len, zero)
-    return out + [zero] * (out_len - len(out))
-
-
 def _scalar_root(c0, e, ground):
     """The 1-unit y with y^e = c0, by Newton from y = 1."""
     if c0.residue() != 1:
@@ -185,31 +240,26 @@ def _scalar_root(c0, e, ground):
     raise PrecisionExhausted("e-th root did not converge")
 
 
-def eth_root_substitute(series, e: int, out_horizon=None) -> GeneralSeries:
+def eth_root_substitute(series, e: int) -> GeneralSeries:
     """The series T with T(X)^e = S(X^e), for gcd(e, p*n) = 1.
 
     S = sum a_h X^(n+h) gives S(X^e) = X^(ne) * g(X) with g supported on
-    multiples of e; T = X^n * g(X)^(1/e) keeps the offset n.
+    multiples of e; T = X^n * g(X)^(1/e) keeps the offset n.  Each
+    coefficient of g^(1/e) is solved from the e-th power of those below.
     """
     n = series.offset
     ground = series.ground
     p = ground.p
     if math.gcd(e, p * n) != 1:
         raise BadTameDegree("e = %d shares a factor with p*n = %d" % (e, p * n))
-    if out_horizon is None:
-        out_horizon = e * (series.horizon - 1) + 1
-    zero = ground.zero()
-    g = [zero] * out_horizon
-    for h in range(series.horizon):
-        if e * h < out_horizon:
-            g[e * h] = series.coeff_scalar(h)
+    g = [ground.zero()] * (e * (series.horizon - 1) + 1)
+    g[::e] = [series.coeff_scalar(h) for h in range(series.horizon)]
     t0 = _scalar_root(g[0], e, ground)
-    one = ground.one()
     lead_inv = (t0 ** (e - 1) * e).unit_inverse()
     ts = [t0]
-    for w in range(1, out_horizon):
-        cur = _poly_pow(ts, e, w + 1, zero, one)
-        ts.append((g[w] - cur[w]) * lead_inv)
+    for w in range(1, len(g)):
+        cur = DualRing(ground, w + 1).element(ts) ** e
+        ts.append((g[w] - cur.coeffs[w]) * lead_inv)
     return GeneralSeries(n, ts)
 
 
@@ -218,22 +268,11 @@ def compose_series(outer, inner, out_horizon) -> GeneralSeries:
 
     Both series have ground coefficients; the result has offset equal to
     the product of the offsets, matching a two-step tower where inner
-    carries pi_M to pi_L and outer carries pi_L to pi_K.
+    carries pi_M to pi_L and outer carries pi_L to pi_K.  It is outer
+    evaluated at inner, read in ground[X] / (X^(offset + out_horizon)).
     """
-    ground = inner.ground
-    zero = ground.zero()
-    one = ground.one()
-    total = outer.offset * inner.offset + out_horizon
-    gp = [zero] * min(inner.offset + inner.horizon, total)
-    for h in range(inner.horizon):
-        k = inner.offset + h
-        if k < len(gp):
-            gp[k] = inner.coeff_scalar(h)
-    acc = [zero]
-    for h in range(outer.horizon - 1, -1, -1):
-        acc = _poly_mul(acc, gp, total, zero)
-        acc[0] = acc[0] + outer.coeff_scalar(h)
-    gn = _poly_pow(gp, outer.offset, total, zero, one)
-    res = _poly_mul(acc, gn, total, zero)
     off = outer.offset * inner.offset
-    return GeneralSeries(off, res[off : off + out_horizon])
+    ring = DualRing(inner.ground, off + out_horizon)
+    x = ring.element([inner.ground.zero()] * inner.offset
+                     + [inner.coeff_scalar(h) for h in range(inner.horizon)])
+    return GeneralSeries(off, evaluate(outer, x).coeffs[off:])

@@ -169,12 +169,12 @@ def _expand_profile(floor, target, horizon):
     return series, profile
 
 
-def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None,
-                  check=True):
+def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
     """Attach both steps, expand all three digit series, profile them.
 
     E2's coefficients live on the lower floor, so that floor is reused;
-    E1 must coincide with its defining polynomial.
+    E1 must coincide with its defining polynomial.  The formal composite
+    of the two one-step series is checked against the direct expansion.
     """
     if isinstance(E1, (list, tuple)):
         E1 = EisensteinPoly(E1)
@@ -204,8 +204,7 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None,
     upper_series, upper = _expand_profile(M, L.uniformizer(), upper_horizon)
     composed_series, composed = _expand_profile(M, piK, H)
 
-    if check:
-        _check_formal_composite(M, lower_series, upper_series, composed_series)
+    _check_formal_composite(M, lower_series, upper_series, composed_series)
 
     return TowerProfile(
         ground.p, L, M, lower, upper, composed,

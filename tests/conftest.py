@@ -102,9 +102,9 @@ def q3_cbrt3():
     return build_q3_cbrt3()
 
 
-def build_double_quadratic_tower(prec=64, H=12):
-    # (X^2 + tX + t) over F_2((t)), then Y^2 + pi Y + pi on top
-    K = GroundField.equal_char(2, prec)
+def build_double_quadratic_tower(prec=64, H=12, mode="equal"):
+    # X^2 + tX + t over F_2((t)) (X^2 + 2X + 2 over Q_2), then Y^2 + pi Y + pi
+    K = GroundField(mode, 2, prec)
     t = K.uniformizer()
     E1 = EisensteinPoly([t, t])
     L = attach_eisenstein(K, E1)

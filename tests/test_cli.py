@@ -271,3 +271,13 @@ def test_no_digit_fits_exits_3(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "from job precision 4 on" in err
+
+
+def test_dry_expansion_names_digits_and_precision(tmp_path, capsys):
+    # the room check passes at precision 20, but M/K expands only 16 digits
+    job = _write(tmp_path, dict(TOWER, precision=20))
+    assert main(["verify", job, "--cmax", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the digit expansion ran dry: 16 of 29 digits past "
+                   "offset 4 at ground precision 20\n")

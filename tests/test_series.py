@@ -6,6 +6,7 @@ from ramify.base import GroundField
 from ramify.errors import BadTameDegree, NotOneUnit
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.series import (
+    GeneralSeries,
     alternate_series,
     compose_series,
     eth_root_substitute,
@@ -14,6 +15,7 @@ from ramify.series import (
     normalize_leading_digit,
 )
 from ramify.tower import tame_lift_tower
+from conftest import build_double_quadratic_tower
 
 
 def test_expansion_round_trip(extension_case):
@@ -83,10 +85,10 @@ def test_eth_root_requires_one_unit_lead(f3_cubic):
         eth_root_substitute(S, 2)
 
 
-def test_compose_series_matches_evaluation(double_quadratic_tower):
-    F = double_quadratic_tower.lower_series
-    G = double_quadratic_tower.upper_series
-    M = double_quadratic_tower.upper_floor
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_compose_series_matches_evaluation(mode):
+    T = build_double_quadratic_tower(mode=mode)
+    F, G, M = T.lower_series, T.upper_series, T.upper_floor
     depth = min(G.horizon, F.horizon * G.offset)
     H = compose_series(F, G, depth)
     assert H.offset == F.offset * G.offset
@@ -94,6 +96,18 @@ def test_compose_series_matches_evaluation(double_quadratic_tower):
     direct = evaluate(F, evaluate(G, pi))
     diff = evaluate(H, pi) - direct
     assert diff.has_valuation_at_least(H.offset + depth)
+
+
+def test_compose_series_does_not_claim_exactness():
+    # 1 + 1 vanishes to precision in F_2 but is not known to be zero
+    K = GroundField.equal_char(2, 8)
+    one = K.one()
+    z = one + one
+    assert z.is_zero_to_precision() and not z.exact_zero
+    inner = GeneralSeries(1, [one, z, one])
+    H = compose_series(GeneralSeries(1, [one]), inner, 3)
+    assert H.coeffs[1].is_zero_to_precision()
+    assert not H.coeffs[1].exact_zero
 
 
 def test_expand_digits_respects_horizon():

@@ -181,7 +181,7 @@ def test_tame_lift_rejects_shared_factor(f2_quadratic, f3_cubic):
 
 
 def test_formal_composite_check_runs():
-    # check=True is the default; building the fixture exercises it
+    # compose_tower always checks the composite; building the fixture runs it
     T = build_double_quadratic_tower(H=10)
     assert T.composed.i == (3, 3, 0)
 
