@@ -41,7 +41,7 @@ from .errors import (
 )
 from .extension import EisensteinPoly, attach_eisenstein
 from .invariants import inseparability_profile, phi
-from .oracle import FULL, REDUCED, capital_phi
+from .oracle import FULL, REDUCED, capital_phi, phi_grid
 from .series import evaluate, expand_digits
 from .tower import (
     compose_tower,
@@ -75,8 +75,10 @@ def decode_element(floor, data):
         pi = floor.uniformizer()
         for pair in data:
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)):
-                raise ValueError("ground element entries are [digit, power]")
+                    or not all(isinstance(v, int) and not isinstance(v, bool)
+                               for v in pair)):
+                raise ValueError("ground element entries are [digit, power] "
+                                 "integers, got %s" % json.dumps(pair))
             digit, power = pair
             if power < 0:
                 raise ValueError("negative power in element encoding")
@@ -91,12 +93,19 @@ def decode_element(floor, data):
     return out
 
 
+def _field(obj, key, where):
+    if key not in obj:
+        raise ValueError("%s has no field %r" % (where, key))
+    return obj[key]
+
+
 def load_job(path):
     with open(path, "r", encoding="utf-8") as fh:
         job = json.load(fh)
-    p = job["p"]
-    mode = job["mode"]
-    precision = job["precision"]
+    if not isinstance(job, dict):
+        raise ValueError("job must be a JSON object")
+    p, mode, precision, steps = (
+        _field(job, key, "job") for key in ("p", "mode", "precision", "steps"))
     for key, value in (("p", p), ("precision", precision)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError("%s must be an integer, got %r" % (key, value))
@@ -106,22 +115,30 @@ def load_job(path):
         ground = GroundField.mixed_char(p, precision)
     else:
         raise ValueError("mode must be EQUAL or MIXED")
-    steps = job["steps"]
     if not isinstance(steps, list) or not steps:
         raise ValueError("steps must be a non-empty list")
     floors = {"K": ground}
     order = []
     prev = "K"
-    for step in steps:
-        name = step["name"]
-        base_name = step["base"]
+    for k, step in enumerate(steps):
+        where = "steps[%d]" % k
+        if not isinstance(step, dict):
+            raise ValueError("%s must be an object" % where)
+        name, base_name, data = (
+            _field(step, key, where) for key in ("name", "base", "coeffs"))
+        for key, value in (("name", name), ("base", base_name)):
+            if not isinstance(value, str):
+                raise ValueError("%s of %s must be a string, got %s"
+                                 % (key, where, json.dumps(value)))
         if name in floors:
             raise ValueError("duplicate step name %r" % name)
         if base_name != prev:
             raise ValueError("steps must chain: %r has base %r, expected %r"
                              % (name, base_name, prev))
         base = floors[base_name]
-        coeffs = [decode_element(base, c) for c in step["coeffs"]]
+        if not isinstance(data, list):
+            raise ValueError("coeffs of step %r must be a list" % name)
+        coeffs = [decode_element(base, c) for c in data]
         floors[name] = attach_eisenstein(base, EisensteinPoly(coeffs))
         order.append(name)
         prev = name
@@ -336,11 +353,12 @@ def sweep_ready(floor, target, first_horizon, cmax):
 
 def oracle_grid(floor, series, profile, cmax):
     rows, ok = [], True
-    for j in range(profile.nu + 1):
+    grid = phi_grid(series, floor, profile.nu, cmax)
+    for j, caps in enumerate(grid):
         fun = phi(profile, j)
-        for c in range(cmax + 1):
+        for c, cap in enumerate(caps):
             expected = fun(c)
-            cap = Fraction(capital_phi(series, floor, c, j))
+            cap = Fraction(cap)
             match = cap == expected
             ok = ok and match
             rows.append([j, c, ser(expected), ser(cap), match])

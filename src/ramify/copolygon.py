@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import vp
 from .errors import PrecisionExhausted
-from .oracle import _probe
+from .oracle import _field_probe
 from .plfun import Line, PLFunction
 
 VK = "vK"
@@ -55,15 +54,13 @@ def fstar(F, floor) -> EpsilonSeries:
 
     It runs to eps-degree p^(nu+1) - 1, where p^nu is the p-part of n.
     """
-    p = floor.p
     n = F.offset
-    order = p ** (vp(n, p) + 1) - 1
-    w = _probe(F, floor, 0, 1, order + 1)
+    w = _field_probe(F, floor)
     target = w.coeffs[0]
     if target.valuation() != n:
         raise PrecisionExhausted("series does not carry valuation %d" % n)
     unit_inv = target.udiv(n).unit_inverse()
-    cs = [(w.coeffs[i] * unit_inv).udiv(n) for i in range(1, order + 1)]
+    cs = [(c * unit_inv).udiv(n) for c in w.coeffs[1:]]
     return EpsilonSeries(floor, n, cs)
 
 

@@ -12,12 +12,23 @@ Truncating the series at horizon H perturbs every eps coefficient only
 at valuation n+H or deeper, so congruences mod pi^(n+d) are decided
 faithfully for d <= H; beyond that the oracle refuses rather than
 guesses.
+
+The eps^m coefficient of F(pi + u*pi^(c+1)*eps) is
+(D^m F)(pi) * u^m * pi^(m(c+1)), with D^m F the m-th divided series, so
+its valuation is that of the c = 0 coefficient plus m*c.  One probe at
+c = 0 with nilpotency p^(nu+1) therefore holds every row:
+
+    Phi_j(c) = min over 1 <= m < p^(j+1) of v(w_m) + m*c - n.
+
+phi_grid reads a field's rows that way; capital_phi probes one (j, c)
+directly and stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 
+from .base import INFINITY, vp
 from .errors import PrecisionExhausted, TheoremViolation
 # bench/spans.py counts DualElement's ring operations through this module
 from .series import DualElement, DualRing, GeneralSeries, evaluate  # noqa: F401
@@ -46,6 +57,12 @@ def _probe(F, floor, c, u, nil):
         raise ValueError("u must be a unit")
     z = ring.element([pi, u * pi ** (c + 1)])
     return evaluate(F, z)
+
+
+def _field_probe(F, floor, u=1):
+    """The probe at c = 0 with nilpotency p^(nu+1), nu = v_p(n) of F's offset n."""
+    p = floor.p
+    return _probe(F, floor, 0, u, p ** (vp(F.offset, p) + 1))
 
 
 def _congruent(w, n, d) -> bool:
@@ -78,6 +95,47 @@ def capital_phi(F, floor, c, j, flavor=FULL, u=1) -> int:
         if not _congruent(w, n, d + 1):
             return d
         d += 1
+
+
+def phi_grid(F, floor, nu, cmax, u=1):
+    """capital_phi(F, floor, c, j, u=u) for j <= nu and c <= cmax, as grid[j][c].
+
+    Every row is read off one probe at c = 0 by the valuation shift m*c.
+    A row whose minimum the probe cannot certify goes to capital_phi
+    itself, so it returns or raises exactly as the direct probe would:
+    when a coefficient is known only to a bound at or below the minimum,
+    when the minimum lies below c (the congruence fails at d = c), or
+    when it reaches the horizon or the floor's ceiling.
+    """
+    w = _field_probe(F, floor, u)
+    if floor.p ** (nu + 1) > w.ring.nil:
+        raise ValueError("nu = %d exceeds v_p of the offset %d" % (nu, F.offset))
+    n = F.offset
+    lines, bounds = [], []
+    for m in range(1, w.ring.nil):
+        try:
+            v = w.coeffs[m].valuation()
+        except PrecisionExhausted as exc:
+            bounds.append((m, exc.bound))
+            continue
+        if v is not INFINITY:
+            lines.append((m, v))
+    grid = []
+    for j in range(nu + 1):
+        top = floor.p ** (j + 1)
+        row_lines = [(m, v) for m, v in lines if m < top]
+        # no digit is tracked past the ceiling, where the direct probe refuses
+        reach = min([floor.ceiling, n + F.horizon]
+                    + [b for m, b in bounds if m < top])
+        row = []
+        for c in range(cmax + 1):
+            low = min((v + m * c for m, v in row_lines), default=INFINITY)
+            if n + c <= low < reach:
+                row.append(low - n)
+            else:
+                row.append(capital_phi(F, floor, c, j, u=u))
+        grid.append(row)
+    return grid
 
 
 def dpower(F, m: int):

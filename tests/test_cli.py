@@ -281,3 +281,29 @@ def test_dry_expansion_names_digits_and_precision(tmp_path, capsys):
     assert out == ""
     assert err == ("error: the digit expansion ran dry: 16 of 29 digits past "
                    "offset 4 at ground precision 20\n")
+
+
+_STEP = F2_QUADRATIC["steps"][0]
+
+
+@pytest.mark.parametrize("job, message", [
+    ([F2_QUADRATIC], "job must be a JSON object"),
+    (dict(F2_QUADRATIC, steps=[5]), "steps[0] must be an object"),
+    (dict(F2_QUADRATIC, steps=[dict(_STEP, coeffs=5)]),
+     "coeffs of step 'L' must be a list"),
+    (dict(F2_QUADRATIC, steps=[dict(_STEP, name=["L"])]),
+     'name of steps[0] must be a string, got ["L"]'),
+    (dict(F2_QUADRATIC, steps=[dict(_STEP, coeffs=[[[True, 1]], [[1, 1]]])]),
+     "ground element entries are [digit, power] integers, got [true, 1]"),
+    ({k: v for k, v in F2_QUADRATIC.items() if k != "steps"},
+     "job has no field 'steps'"),
+    (dict(F2_QUADRATIC, steps=[{"name": "L", "coeffs": _STEP["coeffs"]}]),
+     "steps[0] has no field 'base'"),
+], ids=["array", "step", "coeffs", "name", "bool_digit", "no_steps",
+        "no_base"])
+def test_malformed_job_names_the_field(tmp_path, capsys, job, message):
+    path = _write(tmp_path, job)
+    assert main(["invariants", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from ramify.errors import PrecisionExhausted
+from ramify import oracle
+from ramify.errors import PrecisionExhausted, RamifyError
 from ramify.invariants import phi
 from ramify.oracle import (
     FULL,
@@ -15,8 +16,15 @@ from ramify.oracle import (
     dpower,
     nilpotency,
     perturbed_eval,
+    phi_grid,
 )
-from ramify.series import alternate_series, evaluate
+from ramify.series import (
+    alternate_series,
+    compose_series,
+    evaluate,
+    expand_digits,
+)
+from conftest import build_double_quadratic_tower
 
 
 def test_nilpotency_orders():
@@ -151,3 +159,74 @@ def test_dual_ring_powers(f2_quadratic):
     assert same(1 - x, ring.one() + (-x))
     with pytest.raises(ValueError):
         x ** -1
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RamifyError as exc:
+        return type(exc), str(exc)
+
+
+def assert_grid_is_direct(F, floor, nu, cmax=6, u=1):
+    """phi_grid returns every direct row, or raises at the first that raises."""
+    direct = []
+    for j in range(nu + 1):
+        for c in range(cmax + 1):
+            direct.append(_outcome(lambda: capital_phi(F, floor, c, j, u=u)))
+    grid = _outcome(lambda: phi_grid(F, floor, nu, cmax, u=u))
+    failed = [row for row in direct if isinstance(row, tuple)]
+    if failed:
+        assert grid == failed[0]
+    else:
+        assert [cap for row in grid for cap in row] == direct
+
+
+def test_phi_grid_matches_direct_probe(extension_case):
+    case = extension_case
+    assert_grid_is_direct(case.series, case.floor, case.profile.nu)
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_phi_grid_matches_direct_probe_on_composed_series(mode):
+    T = build_double_quadratic_tower(mode=mode)
+    M = T.upper_floor
+    assert_grid_is_direct(T.composed_series, M, T.composed.nu)
+    depth = min(T.upper_series.horizon, T.composed_series.horizon)
+    formal = compose_series(T.lower_series, T.upper_series, depth)
+    assert_grid_is_direct(formal, M, T.composed.nu)
+
+
+def test_phi_grid_uses_the_unit(f2_quadratic):
+    F, L = f2_quadratic.series, f2_quadratic.floor
+    assert_grid_is_direct(F, L, 1, u=L.one() + L.uniformizer())
+
+
+def test_phi_grid_on_alternate_series(f2_quadratic):
+    F, L = f2_quadratic.series, f2_quadratic.floor
+    assert_grid_is_direct(alternate_series(F, L.poly), L, 1)
+
+
+def test_phi_grid_falls_back_to_the_direct_probe(f2_quadratic, monkeypatch):
+    # horizon 2: Phi_0(1) = 2 reaches it, so row (0, 1) must refuse
+    L = f2_quadratic.floor
+    F = expand_digits(L.embed(f2_quadratic.ground.uniformizer()), 2)
+    with pytest.raises(PrecisionExhausted) as direct:
+        capital_phi(F, L, 1, 0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return capital_phi(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "capital_phi", counted)
+    with pytest.raises(PrecisionExhausted) as grid:
+        phi_grid(F, L, 1, 6)
+    assert str(grid.value) == str(direct.value)
+    assert calls == [(1, 0)]
+
+
+def test_phi_grid_rejects_nu_beyond_the_offset(f2_quadratic):
+    F, L = f2_quadratic.series, f2_quadratic.floor
+    with pytest.raises(ValueError):
+        phi_grid(F, L, 2, 0)
