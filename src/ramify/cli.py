@@ -353,7 +353,7 @@ def sweep_ready(floor, target, first_horizon, cmax):
 
 def oracle_grid(floor, series, profile, cmax):
     rows, ok = [], True
-    grid = phi_grid(series, floor, profile.nu, cmax)
+    grid = phi_grid(series, floor, cmax)
     for j, caps in enumerate(grid):
         fun = phi(profile, j)
         for c, cap in enumerate(caps):

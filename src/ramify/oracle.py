@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .base import INFINITY, vp
+from .base import INFINITY, BaseScalar, vp
 from .errors import PrecisionExhausted, TheoremViolation
 # bench/spans.py counts DualElement's ring operations through this module
 from .series import DualElement, DualRing, GeneralSeries, evaluate  # noqa: F401
@@ -59,10 +59,10 @@ def _probe(F, floor, c, u, nil):
     return evaluate(F, z)
 
 
-def _field_probe(F, floor, u=1):
-    """The probe at c = 0 with nilpotency p^(nu+1), nu = v_p(n) of F's offset n."""
+def _field_probe(F, floor):
+    """The probe at c = 0 and u = 1, nilpotency p^(nu+1) for nu = v_p(offset)."""
     p = floor.p
-    return _probe(F, floor, 0, u, p ** (vp(F.offset, p) + 1))
+    return _probe(F, floor, 0, 1, p ** (vp(F.offset, p) + 1))
 
 
 def _congruent(w, n, d) -> bool:
@@ -97,43 +97,66 @@ def capital_phi(F, floor, c, j, flavor=FULL, u=1) -> int:
         d += 1
 
 
-def phi_grid(F, floor, nu, cmax, u=1):
-    """capital_phi(F, floor, c, j, u=u) for j <= nu and c <= cmax, as grid[j][c].
+def _full_precision(x) -> bool:
+    """Whether every ground coordinate of x is tracked to the ground's precision."""
+    if isinstance(x, BaseScalar):
+        return x.exact_zero or x.prec >= x.field.prec
+    return all(_full_precision(c) for c in x.coords)
 
-    Every row is read off one probe at c = 0 by the valuation shift m*c.
-    A row whose minimum the probe cannot certify goes to capital_phi
-    itself, so it returns or raises exactly as the direct probe would:
-    when a coefficient is known only to a bound at or below the minimum,
-    when the minimum lies below c (the congruence fails at d = c), or
-    when it reaches the horizon or the floor's ceiling.
+
+def _tracked_to_ceiling(F, floor) -> bool:
+    """Whether F's coefficients and every Eisenstein polynomial below floor
+    carry full precision, so that no probe loses a digit below the ceiling.
+
+    A DigitSeries always does: its coefficients are Teichmuller lifts.
     """
-    w = _field_probe(F, floor, u)
-    if floor.p ** (nu + 1) > w.ring.nil:
-        raise ValueError("nu = %d exceeds v_p of the offset %d" % (nu, F.offset))
-    n = F.offset
-    lines, bounds = [], []
+    scalars = list(F.coeffs) if isinstance(F, GeneralSeries) else []
+    while floor.base is not None:
+        scalars.extend(floor.poly.coeffs)
+        floor = floor.base
+    return all(_full_precision(x) for x in scalars)
+
+
+def phi_grid(F, floor, cmax):
+    """capital_phi(F, floor, c, j) for j <= nu and c <= cmax, as grid[j][c].
+
+    nu = v_p(n) for F's offset n.  Every row is read off one probe at
+    c = 0 by the valuation shift m*c.  That is exact when F and the
+    floors carry full precision: every digit is then known below the
+    ceiling, and a coefficient known only to a bound has it at or above
+    the ceiling.  A row goes to capital_phi itself, so it returns or
+    raises exactly as the direct probe would, when the minimum lies
+    below c (the congruence fails at d = c) or reaches the horizon or
+    the floor's ceiling.  When F or a floor carries fewer digits, the
+    probes at different c lose different digits, and every row goes
+    to capital_phi.
+    """
+    p, n = floor.p, F.offset
+    nu = vp(n, p)
+    if not _tracked_to_ceiling(F, floor):
+        return [[capital_phi(F, floor, c, j) for c in range(cmax + 1)]
+                for j in range(nu + 1)]
+    w = _field_probe(F, floor)
+    lines = []
     for m in range(1, w.ring.nil):
         try:
             v = w.coeffs[m].valuation()
-        except PrecisionExhausted as exc:
-            bounds.append((m, exc.bound))
-            continue
+        except PrecisionExhausted:
+            continue  # known only to a bound at or above the ceiling
         if v is not INFINITY:
             lines.append((m, v))
+    # no digit is tracked past the ceiling, where the direct probe refuses
+    reach = min(floor.ceiling, n + F.horizon)
     grid = []
     for j in range(nu + 1):
-        top = floor.p ** (j + 1)
-        row_lines = [(m, v) for m, v in lines if m < top]
-        # no digit is tracked past the ceiling, where the direct probe refuses
-        reach = min([floor.ceiling, n + F.horizon]
-                    + [b for m, b in bounds if m < top])
+        row_lines = [(m, v) for m, v in lines if m < p ** (j + 1)]
         row = []
         for c in range(cmax + 1):
             low = min((v + m * c for m, v in row_lines), default=INFINITY)
             if n + c <= low < reach:
                 row.append(low - n)
             else:
-                row.append(capital_phi(F, floor, c, j, u=u))
+                row.append(capital_phi(F, floor, c, j))
         grid.append(row)
     return grid
 

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramify.base import GroundField
+from ramify.base import BaseScalar, GroundField
+from ramify.errors import RamifyError
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.invariants import inseparability_profile
+from ramify.oracle import capital_phi, phi_grid
 from ramify.series import expand_digits
 from ramify.tower import compose_tower
 
@@ -116,3 +118,32 @@ def build_double_quadratic_tower(prec=64, H=12, mode="equal"):
 @pytest.fixture
 def double_quadratic_tower():
     return build_double_quadratic_tower()
+
+
+def short_scalar(x, digits):
+    """The ground scalar x known to only its first ``digits`` digits."""
+    K = x.field
+    if K.mode == "equal":
+        return BaseScalar(K, x.data[:digits], digits, False)
+    return BaseScalar(K, x.data % K.ppow(digits), digits, False)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RamifyError as exc:
+        return type(exc), str(exc)
+
+
+def assert_grid_is_direct(F, floor, nu, cmax=6):
+    """phi_grid returns every direct row, or raises at the first that raises."""
+    direct = []
+    for j in range(nu + 1):
+        for c in range(cmax + 1):
+            direct.append(_outcome(lambda: capital_phi(F, floor, c, j)))
+    grid = _outcome(lambda: phi_grid(F, floor, cmax))
+    failed = [row for row in direct if isinstance(row, tuple)]
+    if failed:
+        assert grid == failed[0]
+    else:
+        assert [cap for row in grid for cap in row] == direct

@@ -5,7 +5,9 @@ from math import comb
 import pytest
 
 from ramify import oracle
-from ramify.errors import PrecisionExhausted, RamifyError
+from ramify.base import GroundField
+from ramify.errors import PrecisionExhausted
+from ramify.extension import attach_eisenstein
 from ramify.invariants import phi
 from ramify.oracle import (
     FULL,
@@ -19,12 +21,20 @@ from ramify.oracle import (
     phi_grid,
 )
 from ramify.series import (
+    GeneralSeries,
     alternate_series,
     compose_series,
     evaluate,
     expand_digits,
 )
-from conftest import build_double_quadratic_tower
+from conftest import (
+    assert_grid_is_direct,
+    build_double_quadratic_tower,
+    build_f2_quadratic,
+    build_f3_cubic,
+    build_q2_sqrt2,
+    short_scalar,
+)
 
 
 def test_nilpotency_orders():
@@ -161,27 +171,6 @@ def test_dual_ring_powers(f2_quadratic):
         x ** -1
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except RamifyError as exc:
-        return type(exc), str(exc)
-
-
-def assert_grid_is_direct(F, floor, nu, cmax=6, u=1):
-    """phi_grid returns every direct row, or raises at the first that raises."""
-    direct = []
-    for j in range(nu + 1):
-        for c in range(cmax + 1):
-            direct.append(_outcome(lambda: capital_phi(F, floor, c, j, u=u)))
-    grid = _outcome(lambda: phi_grid(F, floor, nu, cmax, u=u))
-    failed = [row for row in direct if isinstance(row, tuple)]
-    if failed:
-        assert grid == failed[0]
-    else:
-        assert [cap for row in grid for cap in row] == direct
-
-
 def test_phi_grid_matches_direct_probe(extension_case):
     case = extension_case
     assert_grid_is_direct(case.series, case.floor, case.profile.nu)
@@ -195,11 +184,6 @@ def test_phi_grid_matches_direct_probe_on_composed_series(mode):
     depth = min(T.upper_series.horizon, T.composed_series.horizon)
     formal = compose_series(T.lower_series, T.upper_series, depth)
     assert_grid_is_direct(formal, M, T.composed.nu)
-
-
-def test_phi_grid_uses_the_unit(f2_quadratic):
-    F, L = f2_quadratic.series, f2_quadratic.floor
-    assert_grid_is_direct(F, L, 1, u=L.one() + L.uniformizer())
 
 
 def test_phi_grid_on_alternate_series(f2_quadratic):
@@ -221,12 +205,32 @@ def test_phi_grid_falls_back_to_the_direct_probe(f2_quadratic, monkeypatch):
 
     monkeypatch.setattr(oracle, "capital_phi", counted)
     with pytest.raises(PrecisionExhausted) as grid:
-        phi_grid(F, L, 1, 6)
+        phi_grid(F, L, 6)
     assert str(grid.value) == str(direct.value)
     assert calls == [(1, 0)]
 
 
-def test_phi_grid_rejects_nu_beyond_the_offset(f2_quadratic):
-    F, L = f2_quadratic.series, f2_quadratic.floor
-    with pytest.raises(ValueError):
-        phi_grid(F, L, 2, 0)
+@pytest.mark.parametrize("digits", [2, 3, 4, 8])
+@pytest.mark.parametrize("build", [build_f2_quadratic, build_f3_cubic,
+                                   build_q2_sqrt2])
+def test_phi_grid_on_short_coefficients(build, digits):
+    # the probes at c = 0 and c > 0 lose different digits, so no row
+    # of the c = 0 probe may stand in for the direct one
+    case = build(prec=16, horizon=12)
+    F = case.series
+    short = GeneralSeries(F.offset, [short_scalar(F.coeff_scalar(h), digits)
+                                     for h in range(F.horizon)])
+    assert_grid_is_direct(short, case.floor, case.profile.nu)
+
+
+@pytest.mark.parametrize("digits", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_phi_grid_on_a_short_eisenstein_polynomial(mode, digits):
+    # the digits come from X^2 + tX + t at full precision; the probes
+    # run on the same polynomial known to only a few digits
+    K = GroundField(mode, 2, 16)
+    t = K.uniformizer()
+    F = expand_digits(attach_eisenstein(K, [t, t]).embed(t), 12)
+    short = short_scalar(t, digits)
+    L = attach_eisenstein(K, [short, short])
+    assert_grid_is_direct(F, L, 1)

@@ -1,8 +1,9 @@
 """Property tests: the one-probe grid against the direct probe and the formula.
 
 Random Eisenstein polynomials over F_p((t)) and Q_p, p in {2, 3}, of
-degree at most 4 at precision 64.  The fixed fixtures and the seeded
-acceptance fuzz stay; these add coverage, they do not replace it.
+degree at most 4 at precision 64, and the same series with coefficients
+known to fewer digits.  The fixed fixtures and the seeded acceptance
+fuzz stay; these add coverage, they do not replace it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from ramify.errors import IndexUnresolved, NotSeparable, PrecisionExhausted
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.invariants import phi
 from ramify.oracle import capital_phi, phi_grid
+from ramify.series import GeneralSeries
+
+from conftest import assert_grid_is_direct, short_scalar
 
 CMAX = 4
 
@@ -50,9 +54,23 @@ def test_grid_equals_direct_probe_and_formula(floor):
         series, profile = swept_profile(floor, floor.base, CMAX)
     except (NotSeparable, IndexUnresolved, PrecisionExhausted):
         assume(False)
-    grid = phi_grid(series, floor, profile.nu, CMAX)
+    grid = phi_grid(series, floor, CMAX)
     for j in range(profile.nu + 1):
         fun = phi(profile, j)
         for c in range(CMAX + 1):
             direct = capital_phi(series, floor, c, j)
             assert grid[j][c] == direct == fun(c), (j, c)
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(eisenstein_floors(), st.integers(1, 8))
+def test_grid_equals_direct_probe_on_short_coefficients(floor, digits):
+    try:
+        series, profile = swept_profile(floor, floor.base, CMAX)
+    except (NotSeparable, IndexUnresolved, PrecisionExhausted):
+        assume(False)
+    short = GeneralSeries(series.offset, [
+        short_scalar(series.coeff_scalar(h), digits)
+        for h in range(series.horizon)])
+    assert_grid_is_direct(short, floor, profile.nu, CMAX)
