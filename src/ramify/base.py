@@ -4,8 +4,8 @@ A ground field here is either F_p((t)) ("equal" mode, uniformizer t) or
 Q_p ("mixed" mode, uniformizer p), always with residue field F_p.  A
 scalar is stored with an absolute precision ``prec``:
 
-* equal mode: a tuple of ``prec`` residues, digit k being the
-  coefficient of t^k, so the element is known mod t^prec;
+* equal mode: one integer whose 16-bit slot k holds the coefficient of
+  t^k in [0, p) for k < prec, and 0 from prec on: known mod t^prec;
 * mixed mode: a single integer in [0, p^prec), known mod p^prec.
 
 Precision is tracked per scalar.  Sums and products carry the minimum of
@@ -15,9 +15,20 @@ valuation >= prec), so valuation queries on it raise PrecisionExhausted
 unless the scalar is flagged ``exact_zero``, meaning it was produced
 purely from exact zeros and is genuinely 0.
 
-Multiplication in equal mode packs the digit tuples into one big integer
-with 16-bit slots and lets Python's integer product do the convolution;
-slot overflow is impossible while prec * (p-1)^2 < 2^16.
+The equal-mode integer is the digit polynomial at t = 2^16 (Kronecker
+substitution kept as the storage format), so each operation acts on all
+slots at once.  No slot overflows into the next:
+
+* add: a slot of a sum lies in [0, 2p - 2].  Adding 2^15 - p to every
+  slot sets bit 15 of exactly the slots >= p, where the fold subtracts p;
+  this needs every slot below 2^15 + p.  For p = 2 add is an XOR.
+* mul: slot k < m of the product of two m-slot scalars is the sum of
+  a_i b_j over i + j = k, at most m (p-1)^2 < 2^16, as GroundField
+  refuses prec (p-1)^2 >= 2^16.  Higher slots may overflow, but carries
+  only travel upward.  The m slots kept are reduced mod p by masking bit
+  0 for p = 2, else by folding each slot's high byte onto its low one
+  (2^8 = r mod p; a slot stays at most 255 (p-1) + 255 = 255 p < 2^16,
+  as p <= 256) until every slot fits a byte, which a table reduces.
 """
 
 from __future__ import annotations
@@ -25,6 +36,12 @@ from __future__ import annotations
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 _SLOT = 16
+_new_object = object.__new__
+
+
+def _cut(x, m):
+    """The low m slots of a packed equal-mode scalar."""
+    return x & ((1 << _SLOT * m) - 1)
 
 
 class _Infinity:
@@ -95,20 +112,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_mul_trunc(a, b, p, out_len):
-    # Kronecker substitution: pack digits into 16-bit slots, multiply once.
-    ia = 0
-    for k in range(len(a) - 1, -1, -1):
-        ia = (ia << _SLOT) | a[k]
-    ib = 0
-    for k in range(len(b) - 1, -1, -1):
-        ib = (ib << _SLOT) | b[k]
-    raw = (ia * ib).to_bytes(2 * (len(a) + len(b) + 1), "little")
-    return tuple(
-        (raw[2 * k] + (raw[2 * k + 1] << 8)) % p for k in range(out_len)
-    )
-
-
 def _convolve(a, b, out_len, zero):
     """Schoolbook product of two coefficient sequences, cut at ``out_len``.
 
@@ -134,7 +137,8 @@ class GroundField:
     as the Eisenstein floors stacked on top of it.
     """
 
-    __slots__ = ("mode", "p", "prec", "_ppow")
+    __slots__ = ("mode", "p", "prec", "_ppow", "_ones", "_bias", "_low",
+                 "_table")
 
     def __init__(self, mode, p, prec):
         if mode not in ("equal", "mixed"):
@@ -143,12 +147,21 @@ class GroundField:
             raise ValueError("p must be prime, got %r" % (p,))
         if prec < 1:
             raise ValueError("prec must be positive")
-        if prec * (p - 1) ** 2 >= 1 << _SLOT:
-            raise ValueError("prec too large for packed multiplication")
         self.mode = mode
         self.p = p
         self.prec = prec
         self._ppow = {}
+        if mode == "equal":
+            top = ((1 << _SLOT) - 1) // (p - 1) ** 2
+            if prec > top:
+                raise ValueError("precision %d too large for F_%d((t)): "
+                                 "at most %d" % (prec, p, top))
+            # the add and byte folds stay inside a slot (see the docstring)
+            assert 2 * p - 2 < (1 << 15) + p and 255 * p < 1 << _SLOT
+            self._ones = int.from_bytes(b"\1\0" * prec, "little")
+            self._bias = self._ones * ((1 << 15) - p)
+            self._low = self._ones * 0xFF
+            self._table = bytes(k % p for k in range(256))
 
     @classmethod
     def equal_char(cls, p, prec):
@@ -191,24 +204,20 @@ class GroundField:
         return pw
 
     def zero(self, prec=None):
-        n = self.prec if prec is None else prec
-        data = (0,) * n if self.mode == "equal" else 0
-        return BaseScalar(self, data, n, True)
+        return _scalar(self, 0, self.prec if prec is None else prec, True)
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, k: int):
         if self.mode == "equal":
-            data = (k % self.p,) + (0,) * (self.prec - 1)
-            return BaseScalar(self, data, self.prec, k % self.p == 0)
-        return BaseScalar(self, k % self.ppow(self.prec), self.prec, k == 0)
+            return _scalar(self, k % self.p, self.prec, k % self.p == 0)
+        return _scalar(self, k % self.ppow(self.prec), self.prec, k == 0)
 
     def uniformizer(self):
         if self.mode == "equal":
-            data = ((0, 1) + (0,) * self.prec)[: self.prec]
-            return BaseScalar(self, data, self.prec, False)
-        return BaseScalar(self, self.p, self.prec, False)
+            return _scalar(self, _cut(1 << _SLOT, self.prec), self.prec, False)
+        return _scalar(self, self.p, self.prec, False)
 
     def teichmuller(self, r: int):
         """The Teichmuller lift of the residue r: the root of x^p = x above r."""
@@ -224,7 +233,7 @@ class GroundField:
             if y == x:
                 break
             x = y
-        return BaseScalar(self, x, self.prec, False)
+        return _scalar(self, x, self.prec, False)
 
     def embed(self, x):
         if isinstance(x, BaseScalar) and x.field is self:
@@ -233,6 +242,20 @@ class GroundField:
 
     def residue_inverse(self, r: int) -> int:
         return pow(r, -1, self.p)
+
+    def _fold(self, s):
+        """Subtract p from every slot of s that holds p or more."""
+        return s - ((s + self._bias) >> 15 & self._ones) * self.p
+
+    def _reduce(self, x, m):
+        """Reduce every slot of the m-slot product x mod p."""
+        if self.p == 2:
+            return x & self._ones
+        low, r = self._low, 256 % self.p
+        while x & low << 8:
+            x = (x >> 8 & low) * r + (x & low)
+        return int.from_bytes(
+            x.to_bytes(2 * m, "little").translate(self._table), "little")
 
     def __repr__(self):
         name = "F_%d((t))" % self.p if self.mode == "equal" else "Q_%d" % self.p
@@ -284,6 +307,10 @@ class BaseScalar(RingElement):
 
     def __init__(self, field, data, prec, exact_zero=False):
         self.field = field
+        if type(data) is tuple:  # equal-mode digits, packed once
+            packed = bytearray(2 * len(data))
+            packed[::2] = bytes(d % field.p for d in data)
+            data = int.from_bytes(packed, "little")
         self.data = data
         self.prec = prec
         self.exact_zero = exact_zero
@@ -313,22 +340,22 @@ class BaseScalar(RingElement):
         f = self.field
         m = min(self.prec, o.prec)
         if f.mode == "equal":
-            p = f.p
-            data = tuple((self.data[k] + o.data[k]) % p for k in range(m))
+            data = self.data ^ o.data if f.p == 2 else f._fold(self.data + o.data)
+            if self.prec != o.prec:
+                data = _cut(data, m)
         else:
             data = (self.data + o.data) % f.ppow(m)
-        return BaseScalar(f, data, m, False)
+        return _scalar(f, data, m, False)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
         if f.mode == "equal":
-            p = f.p
-            data = tuple((-c) % p for c in self.data)
+            data = self.data if f.p == 2 else f._fold(f._ones * f.p - self.data)
         else:
             data = (-self.data) % f.ppow(self.prec)
-        return BaseScalar(f, data, self.prec, self.exact_zero)
+        return _scalar(f, data, self.prec, self.exact_zero)
 
     def __mul__(self, other):
         o = self._peer(other)
@@ -339,10 +366,10 @@ class BaseScalar(RingElement):
             return f.zero(max(self.prec, o.prec))
         m = min(self.prec, o.prec)
         if f.mode == "equal":
-            data = _poly_mul_trunc(self.data[:m], o.data[:m], f.p, m)
+            data = f._reduce(_cut(self.data * o.data, m), m)
         else:
             data = (self.data * o.data) % f.ppow(m)
-        return BaseScalar(f, data, m, False)
+        return _scalar(f, data, m, False)
 
     __rmul__ = __mul__
 
@@ -352,14 +379,12 @@ class BaseScalar(RingElement):
             return NotImplemented
         m = min(self.prec, o.prec)
         if self.field.mode == "equal":
-            return self.data[:m] == o.data[:m]
+            return _cut(self.data ^ o.data, m) == 0
         return (self.data - o.data) % self.field.ppow(m) == 0
 
     __hash__ = None
 
     def is_zero_to_precision(self) -> bool:
-        if self.field.mode == "equal":
-            return all(c == 0 for c in self.data)
         return self.data == 0
 
     def valuation(self):
@@ -370,11 +395,9 @@ class BaseScalar(RingElement):
         """
         if self.exact_zero:
             return INFINITY
-        if self.field.mode == "equal":
-            for k, c in enumerate(self.data):
-                if c:
-                    return k
-        elif self.data:
+        if self.data:
+            if self.field.mode == "equal":
+                return ((self.data & -self.data).bit_length() - 1) // _SLOT
             return vp(self.data, self.field.p)
         raise PrecisionExhausted(
             "valuation undetermined: zero to precision %d" % self.prec,
@@ -396,7 +419,8 @@ class BaseScalar(RingElement):
             return 0
         if self.prec < 1:
             raise PrecisionExhausted("no digits left", bound=0)
-        return self.data[0] if self.field.mode == "equal" else self.data % self.field.p
+        f = self.field
+        return self.data & 0xFFFF if f.mode == "equal" else self.data % f.p
 
     def udiv(self, k: int):
         """Divide by uniformizer^k.  Requires valuation >= k, provably."""
@@ -412,40 +436,49 @@ class BaseScalar(RingElement):
             )
         f = self.field
         if f.mode == "equal":
-            if any(self.data[i] for i in range(k)):
+            if _cut(self.data, k):
                 raise NotDivisible("valuation below %d" % k)
-            return BaseScalar(f, self.data[k:], self.prec - k, False)
+            return _scalar(f, self.data >> _SLOT * k, self.prec - k, False)
         if self.data % f.ppow(k):
             raise NotDivisible("valuation below %d" % k)
-        return BaseScalar(f, self.data // f.ppow(k), self.prec - k, False)
+        return _scalar(f, self.data // f.ppow(k), self.prec - k, False)
 
     def unit_inverse(self):
         if self.residue() == 0:
             raise NotAUnit("valuation is positive")
         f = self.field
         if f.mode == "mixed":
-            return BaseScalar(f, pow(self.data, -1, f.ppow(self.prec)), self.prec, False)
-        p, n = f.p, self.prec
-        a = self.data
-        inv0 = pow(a[0], -1, p)
-        out = [inv0] + [0] * (n - 1)
-        for k in range(1, n):
-            s = 0
-            for i in range(1, k + 1):
-                s += a[i] * out[k - i]
-            out[k] = (-inv0 * s) % p
-        return BaseScalar(f, tuple(out), n, False)
+            return _scalar(f, pow(self.data, -1, f.ppow(self.prec)), self.prec, False)
+        # Newton: x = 1/a mod t^k gives x (2 - a x) = 1/a mod t^(2k).
+        x, k = pow(self.residue(), -1, f.p), 1
+        while k < self.prec:
+            k = min(2 * k, self.prec)
+            ax = f._reduce(_cut(_cut(self.data, k) * x, k), k)
+            x = f._reduce(_cut(x * f._fold(f._ones * f.p - ax + 2), k), k)
+        return _scalar(f, x, self.prec, False)
 
     def __repr__(self):
         f = self.field
         if f.mode == "mixed":
             return "%d + O(%d^%d)" % (self.data, f.p, self.prec)
+        digits = self.data.to_bytes(2 * self.prec, "little")[::2]
         terms = [
-            ("t^%d" % k if k > 1 else "t") if c == 1 else
-            ("%d*t^%d" % (c, k) if k > 1 else "%d*t" % c) if k else "%d" % c
-            for k, c in enumerate(self.data) if c
+            "%d" % c if k == 0 else
+            ("t" if k == 1 else "t^%d" % k) if c == 1 else
+            ("%d*t" % c if k == 1 else "%d*t^%d" % (c, k))
+            for k, c in enumerate(digits) if c
         ]
         return "%s + O(t^%d)" % (" + ".join(terms) or "0", self.prec)
+
+
+def _scalar(field, data, prec, exact_zero):
+    """A BaseScalar from packed data, without the constructor's tuple check."""
+    x = _new_object(BaseScalar)
+    x.field = field
+    x.data = data
+    x.prec = prec
+    x.exact_zero = exact_zero
+    return x
 
 
 def digit_expand_base(x, count: int):

@@ -138,7 +138,13 @@ def load_job(path):
         base = floors[base_name]
         if not isinstance(data, list):
             raise ValueError("coeffs of step %r must be a list" % name)
-        coeffs = [decode_element(base, c) for c in data]
+        coeffs = []
+        for i, c in enumerate(data):
+            try:
+                coeffs.append(decode_element(base, c))
+            except ValueError as exc:
+                raise ValueError("coeffs[%d] of step %r: %s"
+                                 % (i, name, exc)) from None
         floors[name] = attach_eisenstein(base, EisensteinPoly(coeffs))
         order.append(name)
         prev = name

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramify.base import BaseScalar, GroundField
+from ramify.base import GroundField
 from ramify.errors import RamifyError
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.invariants import inseparability_profile
@@ -121,11 +121,16 @@ def double_quadratic_tower():
 
 
 def short_scalar(x, digits):
-    """The ground scalar x known to only its first ``digits`` digits."""
+    """The ground scalar x known to only its first ``digits`` digits.
+
+    Built from the public arithmetic, whatever the storage layout: the
+    product with t^k drops the top k digits and ``udiv(k)`` shifts the rest
+    down.  Adding and subtracting one clears an ``exact_zero`` flag, so an
+    exact zero comes back as a zero known to ``digits`` digits.
+    """
     K = x.field
-    if K.mode == "equal":
-        return BaseScalar(K, x.data[:digits], digits, False)
-    return BaseScalar(K, x.data % K.ppow(digits), digits, False)
+    k = x.prec - digits
+    return ((x + K.one() - K.one()) * K.uniformizer() ** k).udiv(k)
 
 
 def _outcome(fn):

@@ -144,3 +144,12 @@ def test_kronecker_mul_matches_schoolbook():
     expect = (K.from_int(2) + K.from_int(4) * t + t ** 2
               + K.from_int(4) * t ** 3 + t ** 5)
     assert prod == expect
+
+
+@pytest.mark.parametrize("p, prec", [(257, 1), (3, 20000)])
+def test_mixed_mode_has_no_packing_bound(p, prec):
+    # Q_p scalars are plain integers mod p^prec; only F_p((t)) packs slots.
+    K = GroundField.mixed_char(p, prec)
+    x = K.from_int(p - 1)
+    assert x * x.unit_inverse() == K.one()
+    assert (x * x).residue() == 1

@@ -294,16 +294,31 @@ _STEP = F2_QUADRATIC["steps"][0]
     (dict(F2_QUADRATIC, steps=[dict(_STEP, name=["L"])]),
      'name of steps[0] must be a string, got ["L"]'),
     (dict(F2_QUADRATIC, steps=[dict(_STEP, coeffs=[[[True, 1]], [[1, 1]]])]),
-     "ground element entries are [digit, power] integers, got [true, 1]"),
+     "coeffs[0] of step 'L': ground element entries are [digit, power] "
+     "integers, got [true, 1]"),
+    (dict(F2_QUADRATIC, steps=[dict(_STEP, coeffs=[5, [[1, 1]]])]),
+     "coeffs[0] of step 'L': element must be a JSON array"),
+    (dict(TOWER, steps=[TOWER["steps"][0], dict(
+        TOWER["steps"][1], coeffs=[[[], [[1, 0]]], [[], [[1, 0]], []]])]),
+     "coeffs[1] of step 'M': too many coordinates for degree 2"),
     ({k: v for k, v in F2_QUADRATIC.items() if k != "steps"},
      "job has no field 'steps'"),
     (dict(F2_QUADRATIC, steps=[{"name": "L", "coeffs": _STEP["coeffs"]}]),
      "steps[0] has no field 'base'"),
-], ids=["array", "step", "coeffs", "name", "bool_digit", "no_steps",
-        "no_base"])
+], ids=["array", "step", "coeffs", "name", "bool_digit", "coeff_not_array",
+        "too_many_coordinates", "no_steps", "no_base"])
 def test_malformed_job_names_the_field(tmp_path, capsys, job, message):
     path = _write(tmp_path, job)
     assert main(["invariants", path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+def test_equal_precision_bound_names_field_and_limit(tmp_path, capsys):
+    job = _write(tmp_path, dict(F2_QUADRATIC, p=3, precision=20000))
+    assert main(["invariants", job]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: precision 20000 too large for F_3((t)): "
+                   "at most 16383\n")
