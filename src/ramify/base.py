@@ -33,6 +33,8 @@ slots at once.  No slot overflows into the next:
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 _SLOT = 16
@@ -44,50 +46,7 @@ def _cut(x, m):
     return x & ((1 << _SLOT * m) - 1)
 
 
-class _Infinity:
-    """The single infinite valuation, absorbing under + and largest under <."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash(float("inf"))
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
+INFINITY = math.inf  # the valuation of 0
 
 
 def vp(n: int, p: int):
@@ -101,14 +60,32 @@ def vp(n: int, p: int):
     return v
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin to the prime bases up to 37 is exact below this bound, the
+# least strong pseudoprime to all twelve (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PROVEN_BELOW = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime; exact for n < _PROVEN_BELOW."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -137,12 +114,16 @@ class GroundField:
     as the Eisenstein floors stacked on top of it.
     """
 
-    __slots__ = ("mode", "p", "prec", "_ppow", "_ones", "_bias", "_low",
-                 "_table")
+    __slots__ = ("mode", "p", "prec", "base", "ground", "degree",
+                 "absolute_degree", "ceiling", "_ppow", "_ones", "_bias",
+                 "_low", "_table")
 
     def __init__(self, mode, p, prec):
         if mode not in ("equal", "mixed"):
             raise ValueError("mode must be 'equal' or 'mixed'")
+        if p >= _PROVEN_BELOW:
+            raise ValueError("p must be below %d, where primality is proven"
+                             % _PROVEN_BELOW)
         if not _is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if prec < 1:
@@ -150,8 +131,13 @@ class GroundField:
         self.mode = mode
         self.p = p
         self.prec = prec
+        # the floor protocol: the bottom floor of every tower
+        self.base, self.ground, self.degree = None, self, 1
+        self.absolute_degree, self.ceiling = 1, prec
         self._ppow = {}
         if mode == "equal":
+            if p >= 257:
+                raise ValueError("F_p((t)) needs p < 257, got p = %d" % p)
             top = ((1 << _SLOT) - 1) // (p - 1) ** 2
             if prec > top:
                 raise ValueError("precision %d too large for F_%d((t)): "
@@ -172,26 +158,6 @@ class GroundField:
         return cls("mixed", p, prec)
 
     # -- floor protocol ------------------------------------------------
-
-    @property
-    def base(self):
-        return None
-
-    @property
-    def ground(self):
-        return self
-
-    @property
-    def degree(self):
-        return 1
-
-    @property
-    def absolute_degree(self):
-        return 1
-
-    @property
-    def ceiling(self):
-        return self.prec
 
     def p_valuation(self):
         """Valuation of the rational prime p, normalized to this field."""

@@ -173,7 +173,10 @@ def swept_profile(top, base, cmax):
 
 
 def fraction_arg(text):
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse reports only ValueError and TypeError
+        raise ValueError(text) from None
 
 
 def nonnegative(flag, value):
@@ -184,7 +187,7 @@ def nonnegative(flag, value):
 
 def ser(value):
     """JSON-safe scalar: infinity -> null, Fraction -> int or [num, den]."""
-    if value is INFINITY:
+    if value == INFINITY:
         return None
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -293,7 +296,7 @@ def cmd_tame(job, args):
     expanded = expand_digits(target, lift.series.horizon)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())
     _, base = floor_profile(floor)
-    scaled = [args.e * v if v is not INFINITY else None for v in base.i]
+    scaled = [args.e * v if v != INFINITY else None for v in base.i]
     return {
         "e": args.e,
         "i": [ser(v) for v in profile.i],

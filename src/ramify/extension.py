@@ -61,35 +61,19 @@ def attach_eisenstein(base, poly):
 class EisensteinFloor:
     """One totally ramified step: base[pi] / E(pi) = 0."""
 
-    __slots__ = ("base", "poly", "degree", "_c0_unit_inv")
+    __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
+                 "absolute_degree", "_c0_unit_inv")
 
     def __init__(self, base, poly):
         self.base = base
         self.poly = poly
         self.degree = poly.degree
+        self.p, self.mode, self.ground = base.p, base.mode, base.ground
+        self.ceiling = self.degree * base.ceiling
+        self.absolute_degree = self.degree * base.absolute_degree
         self._c0_unit_inv = None
 
     # -- floor protocol ------------------------------------------------
-
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def mode(self):
-        return self.base.mode
-
-    @property
-    def ground(self):
-        return self.base.ground
-
-    @property
-    def ceiling(self):
-        return self.degree * self.base.ceiling
-
-    @property
-    def absolute_degree(self):
-        return self.degree * self.base.absolute_degree
 
     def p_valuation(self):
         return self.degree * self.base.p_valuation()
@@ -229,8 +213,6 @@ class FloorElement(RingElement):
             raise PrecisionExhausted(
                 "valuation known only to be >= %s" % pending, bound=pending
             )
-        if best is INFINITY and pending is INFINITY:
-            return INFINITY
         return best
 
     def has_valuation_at_least(self, k):

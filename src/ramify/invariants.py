@@ -46,9 +46,9 @@ def tilde_indices(series, nu):
         if v > nu:
             continue
         for j in range(v, nu + 1):
-            if out[j] is INFINITY:
+            if out[j] == INFINITY:
                 out[j] = h
-        if out[0] is not INFINITY:
+        if out[0] != INFINITY:
             break
     return tuple(out)
 
@@ -61,11 +61,11 @@ def indices(tilde, vLp, horizon):
     out = [0] * (nu + 1)
     for j in range(nu - 1, -1, -1):
         cand = min(tilde[j], out[j + 1] + vLp)
-        if cand is INFINITY:
+        if cand == INFINITY:
             raise IndexUnresolved(
                 "index %d infinite within horizon %d" % (j, horizon), j=j
             )
-        if tilde[j] is INFINITY and cand > horizon:
+        if tilde[j] == INFINITY and cand > horizon:
             # a first nonzero digit at h >= horizon could still undercut
             raise IndexUnresolved(
                 "index %d = %d not certified by horizon %d" % (j, cand, horizon),
@@ -158,7 +158,7 @@ def phi_binomial(series, j: int, x, vLp) -> Fraction:
             bv = vp(math.comb(h + n, c), p)
             if bv == 0:
                 term = h + step
-            elif vLp is INFINITY:
+            elif vLp == INFINITY:
                 continue
             else:
                 term = h + vLp * bv + step

@@ -143,7 +143,7 @@ def phi_grid(F, floor, cmax):
             v = w.coeffs[m].valuation()
         except PrecisionExhausted:
             continue  # known only to a bound at or above the ceiling
-        if v is not INFINITY:
+        if v != INFINITY:
             lines.append((m, v))
     # no digit is tracked past the ceiling, where the direct probe refuses
     reach = min(floor.ceiling, n + F.horizon)

@@ -110,18 +110,18 @@ class TameLift:
 
 
 def default_horizon(d_exp, offset, wild, p_val, room):
-    """Heuristic digit horizon: the different exponent plus wild correction.
+    """Digit horizon H = d - n + 2 + v_p(n) v(p), clamped to the room.
 
-    Falls back on IndexUnresolved downstream if it undershoots; the
-    clamp keeps the expansion inside the floor's precision ceiling.
+    For d the different exponent and n the offset, i_0 = d - n + 1 >= i_j
+    for every j, so H certifies every index unless the room clamps it.
     """
-    if d_exp is INFINITY:
+    if d_exp == INFINITY:
         raise NotSeparable(
             "derivative of the defining polynomial vanishes at the root; "
             "indices are undefined for inseparable steps"
         )
     h = d_exp - offset + 2
-    if p_val is not INFINITY:
+    if p_val != INFINITY:
         h += wild * p_val
     h = max(h, 2)
     return min(h, room)
@@ -158,7 +158,7 @@ def expansion_horizon(top, base):
         offset *= walk.degree
         walk = walk.base
     # an inseparable step is refused as bad input whatever the precision
-    room = 0 if d is INFINITY else expansion_room(top, offset)
+    room = 0 if d == INFINITY else expansion_room(top, offset)
     return default_horizon(d, offset, vp(offset, top.p), top.p_valuation(),
                            room)
 
@@ -257,10 +257,12 @@ def lambda_l(T: TowerProfile, l: int) -> PLFunction:
 def s_sets(T: TowerProfile, l: int, x) -> dict:
     """Tie sets: which index lines with j+k = a attain lambda^l at x."""
     x = Fraction(x)
-    lam = lambda_l(T, l)(x)
-    lines = _pair_lines(T, l)
+    return _tie_sets(T, l, x, lambda_l(T, l)(x))
+
+
+def _tie_sets(T, l, x, lam):
     out = {a: [] for a in range(l + 1)}
-    for (j, k), ln in sorted(lines.items()):
+    for (j, k), ln in sorted(_pair_lines(T, l).items()):
         if ln.at(x) == lam:
             out[j + k].append((j, k))
     return out
@@ -270,7 +272,7 @@ def ge_report(T: TowerProfile, l: int, x) -> GeReport:
     x = Fraction(x)
     lam = lambda_l(T, l)(x)
     ph = phi(T.composed, l)(x)
-    S = s_sets(T, l, x)
+    S = _tie_sets(T, l, x, lam)
     hypothesis = any(len(S[a]) == 1 for a in range(l + 1))
     in_T = any(
         len(S[l0]) == 1 and all(len(S[a]) == 0 for a in range(l0))

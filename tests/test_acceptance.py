@@ -240,14 +240,20 @@ def test_acceptance_9_lower_bound_never_violated():
 
 
 def test_acceptance_10_invariant_chain():
-    profiles = [case.profile for _, case in all_cases()]
+    # each profile with its different exponent d, summed as the horizon does
+    profiles = [(case.profile, different_exponent(case.floor))
+                for _, case in all_cases()]
     for T in fuzz_towers():
-        profiles.extend([T.lower, T.upper, T.composed])
-    for P in profiles:
+        d_lower = different_exponent(T.lower_floor)
+        d_upper = different_exponent(T.upper_floor)
+        profiles.extend([(T.lower, d_lower), (T.upper, d_upper),
+                         (T.composed, d_upper + T.m * d_lower)])
+    for P, d in profiles:
         assert P.i[P.nu] == 0
         if P.nu >= 1:
             assert P.i[P.nu - 1] >= 1
         for j in range(P.nu):
             assert P.i[j] >= P.i[j + 1]
         assert indices_closed_form(P.tilde, P.vLp) == P.i
+        assert P.i[0] == d - P.n + 1
     print("ACCEPTANCE 10 invariant-chain: PASS")

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from ramify.base import INFINITY, GroundField, digit_expand_base, vp
+from ramify.base import (
+    _PROVEN_BELOW,
+    INFINITY,
+    GroundField,
+    _is_prime,
+    digit_expand_base,
+    vp,
+)
 from ramify.errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 
@@ -16,7 +23,7 @@ def test_vp():
 def test_infinity_ordering_and_absorption():
     assert INFINITY > 10 ** 9
     assert not INFINITY < 5
-    assert INFINITY + 3 is INFINITY
+    assert INFINITY + 3 == INFINITY
     assert min(INFINITY, 7) == 7
 
 
@@ -57,7 +64,7 @@ def test_valuation_basic():
     K = GroundField.equal_char(3, 10)
     t = K.uniformizer()
     assert (t * t * t).valuation() == 3
-    assert K.zero().valuation() is INFINITY
+    assert K.zero().valuation() == INFINITY
     assert K.from_int(2).valuation() == 0
 
 
@@ -153,3 +160,24 @@ def test_mixed_mode_has_no_packing_bound(p, prec):
     x = K.from_int(p - 1)
     assert x * x.unit_inverse() == K.one()
     assert (x * x).residue() == 1
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(10 ** 4))
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    # strong pseudoprimes to every prime base up to 7 and up to 31
+    assert not _is_prime(n)
+
+
+def test_p_beyond_proven_primality_refused():
+    # the bound is itself a strong pseudoprime to every base up to 37
+    assert _is_prime(_PROVEN_BELOW)
+    with pytest.raises(ValueError, match="primality is proven"):
+        GroundField.mixed_char(_PROVEN_BELOW, 4)

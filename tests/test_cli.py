@@ -322,3 +322,37 @@ def test_equal_precision_bound_names_field_and_limit(tmp_path, capsys):
     assert out == ""
     assert err == ("error: precision 20000 too large for F_3((t)): "
                    "at most 16383\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--j", "1", "--at", "1/0"],
+    ["tower", "--l", "0", "--at", "1/0"],
+])
+def test_zero_denominator_is_an_argparse_error(tmp_path, capsys, argv):
+    job = _write(tmp_path, TOWER)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], job] + argv[1:])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --at: invalid fraction_arg value: '1/0'" in err
+
+
+def test_equal_mode_needs_p_below_257(tmp_path, capsys):
+    job = _write(tmp_path, dict(F2_QUADRATIC, p=257, precision=64))
+    assert main(["invariants", job]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: F_p((t)) needs p < 257, got p = 257\n"
+
+
+def test_large_prime_job_answers(tmp_path, capsys):
+    # X^2 + p over Q_p, p = 10^18 + 3: primality is settled at once
+    job = _write(tmp_path, dict(Q2_SQRT2, p=10 ** 18 + 3, steps=[
+        {"name": "L", "base": "K", "coeffs": [[[1, 1]], []]}]))
+    code, out = _run(capsys, ["invariants", job])
+    assert code == 0
+    assert json.loads(out) == {"i": [0], "n": 2, "nu": 0, "tilde": [0]}
+    code, out = _run(capsys, ["phi", job, "--j", "0", "--at", "3/2"])
+    assert code == 0
+    assert json.loads(out)["value"] == [3, 2]

@@ -6,7 +6,7 @@ import pytest
 
 from ramify.base import INFINITY, GroundField
 from ramify.errors import IndexUnresolved
-from ramify.extension import EisensteinPoly, attach_eisenstein
+from ramify.extension import EisensteinPoly, attach_eisenstein, different_exponent
 from ramify.invariants import (
     binom_val,
     indices_closed_form,
@@ -61,6 +61,8 @@ def test_index_chain(extension_case):
         assert P.i[P.nu - 1] >= 1
     for j in range(P.nu):
         assert P.i[j] >= P.i[j + 1]
+    # i_0 = d - n + 1, d the different exponent: the horizon bound
+    assert P.i[0] == different_exponent(extension_case.floor) - P.n + 1
 
 
 def test_closed_form_matches_recursion(extension_case):
@@ -122,6 +124,6 @@ def test_unresolved_index_raises():
 def test_profile_vlp_matches_mode(extension_case):
     P = extension_case.profile
     if extension_case.ground.mode == "equal":
-        assert P.vLp is INFINITY
+        assert P.vLp == INFINITY
     else:
         assert P.vLp == P.n
