@@ -17,8 +17,7 @@ from .invariants import (
 from .oracle import FULL, REDUCED, capital_phi, divided_congruence, dpower, perturbed_eval
 from .plfun import Line, PLFunction
 from .series import (
-    DigitSeries,
-    GeneralSeries,
+    Series,
     alternate_series,
     compose_series,
     eth_root_substitute,
@@ -68,8 +67,7 @@ __all__ = [
     "perturbed_eval",
     "Line",
     "PLFunction",
-    "DigitSeries",
-    "GeneralSeries",
+    "Series",
     "alternate_series",
     "compose_series",
     "eth_root_substitute",

@@ -52,7 +52,8 @@ class EpsilonSeries:
 def fstar(F, floor) -> EpsilonSeries:
     """Expansion of (image of base uniformizer)^(-1) * (F(pi(1+eps)) - F(pi)).
 
-    It runs to eps-degree p^(nu+1) - 1, where p^nu is the p-part of n.
+    It runs to eps-degree p^(nu+1) - 1, where p^nu is the p-part of n, or
+    to F's own eps-degree offset + horizon - 1 when that is lower.
     """
     n = F.offset
     w = _field_probe(F, floor)

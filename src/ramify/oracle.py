@@ -31,7 +31,7 @@ import math
 from .base import INFINITY, BaseScalar, vp
 from .errors import PrecisionExhausted, TheoremViolation
 # bench/spans.py counts DualElement's ring operations through this module
-from .series import DualElement, DualRing, GeneralSeries, evaluate  # noqa: F401
+from .series import DualElement, DualRing, Series, evaluate  # noqa: F401
 
 FULL = "full"
 REDUCED = "reduced"
@@ -46,8 +46,12 @@ def nilpotency(p: int, j: int, flavor: str) -> int:
 
 
 def _probe(F, floor, c, u, nil):
-    """F(pi + u pi^(c+1) eps) in the dual ring of the given nilpotency."""
-    ring = DualRing(floor, nil)
+    """F(pi + u pi^(c+1) eps) in the dual ring of the given nilpotency.
+
+    F has eps-degree below offset + horizon there, so the ring stops at
+    that degree when nil is larger: every coefficient past it is zero.
+    """
+    ring = DualRing(floor, min(nil, F.offset + F.horizon))
     pi = floor.uniformizer()
     if isinstance(u, int):
         u = floor.from_int(u)
@@ -108,9 +112,9 @@ def _tracked_to_ceiling(F, floor) -> bool:
     """Whether F's coefficients and every Eisenstein polynomial below floor
     carry full precision, so that no probe loses a digit below the ceiling.
 
-    A DigitSeries always does: its coefficients are Teichmuller lifts.
+    The Teichmuller lifts of a digit series always do.
     """
-    scalars = list(F.coeffs) if isinstance(F, GeneralSeries) else []
+    scalars = list(F.coeffs)
     while floor.base is not None:
         scalars.extend(floor.poly.coeffs)
         floor = floor.base
@@ -178,8 +182,8 @@ def dpower(F, m: int):
             coeffs.append(ground.zero())
             continue
         b = math.comb(h + n, m)
-        coeffs.append(F.coeff_scalar(h) * b)
-    return GeneralSeries(offset, coeffs)
+        coeffs.append(F.coeffs[h] * b)
+    return Series(offset, coeffs)
 
 
 def divided_congruence(F, floor, c, j, d, flavor=FULL) -> bool:
@@ -190,7 +194,8 @@ def divided_congruence(F, floor, c, j, d, flavor=FULL) -> bool:
         )
     n = F.offset
     pi = floor.uniformizer()
-    nil = nilpotency(floor.p, j, flavor)
+    # dpower(F, m) is empty from m = n + horizon on, as is the probe there
+    nil = min(nilpotency(floor.p, j, flavor), n + F.horizon)
     for m in range(1, nil):
         g = dpower(F, m)
         if g.horizon <= 0:

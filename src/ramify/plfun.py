@@ -68,9 +68,6 @@ class PLFunction:
     def final_slope(self) -> int:
         return self.lines[-1].slope
 
-    def value_at_zero(self) -> Fraction:
-        return self.lines[0].intercept
-
     def dominates_line(self, intercept, slope) -> bool:
         """True if intercept + slope*x >= self(x) for every x >= 0."""
         probe = Line(Fraction(intercept), slope)

@@ -1,14 +1,12 @@
 """Power series carrying a uniformizer of the base into an upper floor.
 
-The canonical object is a digit series: pi_base = sum_h lift(a_h) *
-pi^(n+h) with Teichmuller digit coefficients, offset n the ramification
-index of the floor over the series' base.  Digits are stored as residues
-and lifted on demand; the leading digit a_0 is never zero.
-
-A general series is the same shape with arbitrary ground-field scalars
-as coefficients.  It shows up as the e-th root produced by tame twists,
-as a formal composite of two digit series, and as a digit series plus a
-multiple of the Eisenstein polynomial.
+A Series is sum_h c_h * X^(offset+h) with ground-field scalars c_h.  The
+canonical one is a digit series: pi_base = sum_h lift(a_h) * pi^(n+h),
+its coefficients the Teichmuller lifts of the digits, offset n the
+ramification index of the floor over the series' base, and the leading
+digit a_0 never zero.  The same type holds the e-th root produced by
+tame twists, the formal composite of two digit series, and a digit
+series plus a multiple of the Eisenstein polynomial.
 
 Truncated power series live in DualRing, floor[eps] / (eps^nil) over
 any floor or the ground field.  The oracle perturbs the uniformizer in
@@ -24,42 +22,7 @@ from .base import RingElement, _convolve, digit_expand_base
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
-class DigitSeries:
-    __slots__ = ("offset", "digits", "ground")
-
-    def __init__(self, offset, digits, ground):
-        self.offset = offset
-        self.digits = tuple(int(d) % ground.p for d in digits)
-        self.ground = ground
-        if self.digits and self.digits[0] == 0:
-            raise ValueError("leading digit must be nonzero")
-
-    @property
-    def p(self):
-        return self.ground.p
-
-    @property
-    def horizon(self):
-        return len(self.digits)
-
-    def support(self):
-        return tuple(h for h, d in enumerate(self.digits) if d)
-
-    def coeff_scalar(self, h):
-        return self.ground.teichmuller(self.digits[h])
-
-    def __eq__(self, other):
-        if not isinstance(other, DigitSeries):
-            return NotImplemented
-        return (self.offset, self.digits) == (other.offset, other.digits)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "DigitSeries(offset=%d, digits=%r)" % (self.offset, list(self.digits))
-
-
-class GeneralSeries:
+class Series:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, offset, coeffs):
@@ -71,6 +34,10 @@ class GeneralSeries:
         return self.coeffs[0].field
 
     @property
+    def p(self):
+        return self.ground.p
+
+    @property
     def horizon(self):
         return len(self.coeffs)
 
@@ -79,11 +46,8 @@ class GeneralSeries:
             h for h, c in enumerate(self.coeffs) if not c.is_zero_to_precision()
         )
 
-    def coeff_scalar(self, h):
-        return self.coeffs[h]
-
     def __repr__(self):
-        return "GeneralSeries(offset=%d, horizon=%d)" % (self.offset, self.horizon)
+        return "Series(offset=%d, horizon=%d)" % (self.offset, self.horizon)
 
 
 class DualRing:
@@ -174,6 +138,8 @@ def expand_digits(target, horizon):
     ``target`` is the embedded image of the base uniformizer in an upper
     floor; its exact valuation becomes the offset.
     """
+    if horizon < 1:
+        raise ValueError("the digit horizon must be at least 1, got %d" % horizon)
     n = target.valuation()
     unit = target.udiv(n)
     digits = digit_expand_base(unit, horizon)
@@ -182,7 +148,7 @@ def expand_digits(target, horizon):
         raise PrecisionExhausted(
             "the digit expansion ran dry: %d of %d digits past offset %d "
             "at ground precision %d" % (len(digits), horizon, n, ground.prec))
-    return DigitSeries(n, digits, ground)
+    return Series(n, [ground.teichmuller(d) for d in digits])
 
 
 def evaluate(series, x):
@@ -190,23 +156,21 @@ def evaluate(series, x):
     ring = x.floor
     acc = ring.zero()
     for h in range(series.horizon - 1, -1, -1):
-        acc = acc * x + ring.embed(series.coeff_scalar(h))
+        acc = acc * x + ring.embed(series.coeffs[h])
     return acc * x ** series.offset
 
 
-def normalize_leading_digit(series: DigitSeries) -> DigitSeries:
+def normalize_leading_digit(series: Series) -> Series:
     """Scale so the leading digit becomes 1; Teichmuller lifts multiply."""
-    d0 = series.digits[0]
+    d0 = series.coeffs[0].residue()
     if d0 == 1:
         return series
-    inv = series.ground.residue_inverse(d0)
-    p = series.p
-    return DigitSeries(
-        series.offset, tuple(d * inv % p for d in series.digits), series.ground
-    )
+    ground = series.ground
+    unit = ground.teichmuller(ground.residue_inverse(d0))
+    return Series(series.offset, [c * unit for c in series.coeffs])
 
 
-def alternate_series(series: DigitSeries, poly) -> GeneralSeries:
+def alternate_series(series: Series, poly) -> Series:
     """The series plus X^n * E(X); it evaluates to the same element at pi."""
     n = series.offset
     if poly.degree != n:
@@ -215,13 +179,13 @@ def alternate_series(series: DigitSeries, poly) -> GeneralSeries:
     horizon = max(series.horizon, n + 1)
     coeffs = []
     for h in range(horizon):
-        c = series.coeff_scalar(h) if h < series.horizon else ground.zero()
+        c = series.coeffs[h] if h < series.horizon else ground.zero()
         if h < n:
             c = c + poly.coeffs[h]
         elif h == n:
             c = c + ground.one()
         coeffs.append(c)
-    return GeneralSeries(n, coeffs)
+    return Series(n, coeffs)
 
 
 def _scalar_root(c0, e, ground):
@@ -240,7 +204,7 @@ def _scalar_root(c0, e, ground):
     raise PrecisionExhausted("e-th root did not converge")
 
 
-def eth_root_substitute(series, e: int) -> GeneralSeries:
+def eth_root_substitute(series, e: int) -> Series:
     """The series T with T(X)^e = S(X^e), for gcd(e, p*n) = 1.
 
     S = sum a_h X^(n+h) gives S(X^e) = X^(ne) * g(X) with g supported on
@@ -253,17 +217,17 @@ def eth_root_substitute(series, e: int) -> GeneralSeries:
     if math.gcd(e, p * n) != 1:
         raise BadTameDegree("e = %d shares a factor with p*n = %d" % (e, p * n))
     g = [ground.zero()] * (e * (series.horizon - 1) + 1)
-    g[::e] = [series.coeff_scalar(h) for h in range(series.horizon)]
+    g[::e] = series.coeffs
     t0 = _scalar_root(g[0], e, ground)
     lead_inv = (t0 ** (e - 1) * e).unit_inverse()
     ts = [t0]
     for w in range(1, len(g)):
         cur = DualRing(ground, w + 1).element(ts) ** e
         ts.append((g[w] - cur.coeffs[w]) * lead_inv)
-    return GeneralSeries(n, ts)
+    return Series(n, ts)
 
 
-def compose_series(outer, inner, out_horizon) -> GeneralSeries:
+def compose_series(outer, inner, out_horizon) -> Series:
     """Formal coefficients of outer(inner(X)) through the given horizon.
 
     Both series have ground coefficients; the result has offset equal to
@@ -273,6 +237,5 @@ def compose_series(outer, inner, out_horizon) -> GeneralSeries:
     """
     off = outer.offset * inner.offset
     ring = DualRing(inner.ground, off + out_horizon)
-    x = ring.element([inner.ground.zero()] * inner.offset
-                     + [inner.coeff_scalar(h) for h in range(inner.horizon)])
-    return GeneralSeries(off, evaluate(outer, x).coeffs[off:])
+    x = ring.element([inner.ground.zero()] * inner.offset + list(inner.coeffs))
+    return Series(off, evaluate(outer, x).coeffs[off:])

@@ -36,6 +36,7 @@ from .extension import (
 from .invariants import InsepProfile, inseparability_profile, phi
 from .plfun import Line, PLFunction
 from .series import (
+    Series,
     compose_series,
     eth_root_substitute,
     evaluate,
@@ -212,13 +213,14 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
     )
 
 
-def _check_formal_composite(M, F, G, H_digits):
+def _check_formal_composite(M, F, G, H):
     # F(G(X)) must agree with the direct expansion as deep as both reach.
-    depth = min(G.horizon, F.horizon * G.offset, H_digits.horizon)
+    # Both have offset n*m; dividing it out leaves the coefficient
+    # differences, and H's terms past depth lie past valuation depth.
+    depth = min(G.horizon, F.horizon * G.offset, H.horizon)
     formal = compose_series(F, G, depth)
-    pi = M.uniformizer()
-    diff = evaluate(formal, pi) - evaluate(H_digits, pi)
-    if not diff.has_valuation_at_least(F.offset * G.offset + depth):
+    diff = Series(0, [formal.coeffs[h] - H.coeffs[h] for h in range(depth)])
+    if not evaluate(diff, M.uniformizer()).has_valuation_at_least(depth):
         raise TheoremViolation(
             "formal composite disagrees with the direct digit expansion"
         )

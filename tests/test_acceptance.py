@@ -10,9 +10,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from ramify.base import GroundField, INFINITY, vp
 from ramify.copolygon import VK, fstar, truncated_psi, valuation_function
-from ramify.errors import IndexUnresolved, PrecisionExhausted
+from ramify.errors import IndexUnresolved, PrecisionExhausted, TheoremViolation
 from ramify.extension import EisensteinPoly, attach_eisenstein, different_exponent
 from ramify.invariants import (
     indices_closed_form,
@@ -22,8 +24,9 @@ from ramify.invariants import (
 )
 from ramify.oracle import FULL, REDUCED, capital_phi
 from ramify.plfun import Line, PLFunction
-from ramify.series import alternate_series, evaluate, expand_digits
+from ramify.series import Series, alternate_series, evaluate, expand_digits
 from ramify.tower import (
+    _check_formal_composite,
     compose_tower,
     default_horizon,
     ge_report,
@@ -133,7 +136,8 @@ def test_acceptance_7_tame_scaling():
 def test_acceptance_8_tower_fixture():
     T = build_double_quadratic_tower(H=12)
     S = T.composed_series
-    assert all((d != 0) == (h % 3 == 0) for h, d in enumerate(S.digits))
+    assert all((c.residue() != 0) == (h % 3 == 0)
+               for h, c in enumerate(S.coeffs))
     assert T.composed.i == (3, 3, 0)
     r0 = ge_report(T, 0, 0)
     assert r0.lam == 3 and r0.equality
@@ -257,3 +261,18 @@ def test_acceptance_10_invariant_chain():
         assert indices_closed_form(P.tilde, P.vLp) == P.i
         assert P.i[0] == d - P.n + 1
     print("ACCEPTANCE 10 invariant-chain: PASS")
+
+
+def test_acceptance_11_composite_check_catches_a_changed_digit():
+    # one wrong digit of the direct expansion, early, midway or at the
+    # last compared place, must fail the formal-composite check
+    for T in fuzz_towers()[:20]:
+        F, G, H = T.lower_series, T.upper_series, T.composed_series
+        depth = min(G.horizon, F.horizon * G.offset, H.horizon)
+        for h in (1, depth // 2, depth - 1):
+            coeffs = list(H.coeffs)
+            coeffs[h] = H.ground.teichmuller(coeffs[h].residue() + 1)
+            with pytest.raises(TheoremViolation):
+                _check_formal_composite(T.upper_floor, F, G,
+                                        Series(H.offset, coeffs))
+    print("ACCEPTANCE 11 composite-mutation: PASS")

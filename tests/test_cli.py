@@ -356,3 +356,14 @@ def test_large_prime_job_answers(tmp_path, capsys):
     code, out = _run(capsys, ["phi", job, "--j", "0", "--at", "3/2"])
     assert code == 0
     assert json.loads(out)["value"] == [3, 2]
+    # the probe ring stops at the series' eps-degree, far below p
+    code, out = _run(capsys, ["verify", job, "--cmax", "3"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    code, out = _run(capsys, ["oracle", job, "--j", "0", "--c", "1"])
+    assert code == 0
+    assert json.loads(out)["Phi"] == 1 and json.loads(out)["match"]
+    code, out = _run(capsys, ["copolygon", job])
+    assert code == 0
+    assert json.loads(out)["function"] == {
+        "f0": [0, 1], "final_slope": 1, "vertices": []}

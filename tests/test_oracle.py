@@ -21,7 +21,7 @@ from ramify.oracle import (
     phi_grid,
 )
 from ramify.series import (
-    GeneralSeries,
+    Series,
     alternate_series,
     compose_series,
     evaluate,
@@ -143,11 +143,11 @@ def test_dpower_coefficients(f2_quadratic):
     for h in F.support():
         expect = comb(h + n, 2) % 2
         # X^(h+n) drops to X^(h+n-2); index relative to the new offset
-        got = D2.coeff_scalar(h + n - 2 - D2.offset)
+        got = D2.coeffs[h + n - 2 - D2.offset]
         if expect == 0:
             assert got.exact_zero or got.residue() == 0
         else:
-            assert got.residue() == F.digits[h]
+            assert got.residue() == F.coeffs[h].residue()
 
 
 def test_probe_depth_is_capped(f2_quadratic):
@@ -218,8 +218,7 @@ def test_phi_grid_on_short_coefficients(build, digits):
     # of the c = 0 probe may stand in for the direct one
     case = build(prec=16, horizon=12)
     F = case.series
-    short = GeneralSeries(F.offset, [short_scalar(F.coeff_scalar(h), digits)
-                                     for h in range(F.horizon)])
+    short = Series(F.offset, [short_scalar(c, digits) for c in F.coeffs])
     assert_grid_is_direct(short, case.floor, case.profile.nu)
 
 

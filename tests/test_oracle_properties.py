@@ -17,7 +17,7 @@ from ramify.errors import IndexUnresolved, NotSeparable, PrecisionExhausted
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.invariants import phi
 from ramify.oracle import capital_phi, phi_grid
-from ramify.series import GeneralSeries
+from ramify.series import Series
 
 from conftest import assert_grid_is_direct, short_scalar
 
@@ -70,7 +70,6 @@ def test_grid_equals_direct_probe_on_short_coefficients(floor, digits):
         series, profile = swept_profile(floor, floor.base, CMAX)
     except (NotSeparable, IndexUnresolved, PrecisionExhausted):
         assume(False)
-    short = GeneralSeries(series.offset, [
-        short_scalar(series.coeff_scalar(h), digits)
-        for h in range(series.horizon)])
+    short = Series(series.offset, [short_scalar(c, digits)
+                                   for c in series.coeffs])
     assert_grid_is_direct(short, floor, profile.nu, CMAX)

@@ -100,7 +100,7 @@ def test_vertices_and_final_slope():
     f = PLFunction([Line(_f(3), 1), Line(_f(0), 4)])
     assert f.vertices() == [(Fraction(1), Fraction(4))]
     assert f.final_slope == 1
-    assert f.value_at_zero() == 0
+    assert f(0) == 0
 
 
 def test_dominates_line():

@@ -43,8 +43,8 @@ def test_composed_profile(double_quadratic_tower):
 
 def test_composed_digit_pattern(double_quadratic_tower):
     S = double_quadratic_tower.composed_series
-    for h, d in enumerate(S.digits):
-        assert (d != 0) == (h % 3 == 0)
+    for h, c in enumerate(S.coeffs):
+        assert (c.residue() != 0) == (h % 3 == 0)
 
 
 def test_lambda_frozen(double_quadratic_tower):
