@@ -29,6 +29,23 @@ slots at once.  No slot overflows into the next:
   0 for p = 2, else by folding each slot's high byte onto its low one
   (2^8 = r mod p; a slot stays at most 255 (p-1) + 255 = 255 p < 2^16,
   as p <= 256) until every slot fits a byte, which a table reduces.
+* sums of products (_ground_product): for p = 2 the raw products are
+  XORed.  No slot of one product carries (it is at most prec), XOR never
+  does, and bit 0 of a slot of the XOR is the parity of the slot sum, so
+  one mask per output reduces it.  For odd p the raw products are added
+  and reduced once per output.  A kept slot of one raw product of reduced
+  operands is at most prec (p-1)^2, prec the field's; a remainder left by
+  an intermediate reduce counts as one term of at most p - 1 per slot.
+  So (2^16 - 1 - (p-1)) // (prec (p-1)^2) raw products fit on top of a
+  remainder before the sum is reduced again.  That budget is at least 1
+  for every odd p < 257 at every accepted prec (GroundField checks it);
+  at p = 3, prec 16383 it is exactly 1, so every product is reduced
+  before the next one is added.
+
+Mixed-mode sums of products are plain int sums with one reduction mod
+p^m per output.  An output's precision m is the least min(prec_a, prec_b)
+over the products it sums, which is what adding the scalar products one
+by one would give.
 """
 
 from __future__ import annotations
@@ -94,7 +111,10 @@ def _convolve(a, b, out_len, zero):
 
     Only exact zeros are skipped: a coefficient that is merely zero to
     precision still carries its precision into every term it touches.
+    Ground scalars take the raw-integer kernel, _ground_product.
     """
+    if type(zero) is BaseScalar:
+        return _ground_product(a, b, out_len, zero)
     buf = [zero] * out_len
     for i, ai in enumerate(a[:out_len]):
         if ai.exact_zero:
@@ -106,6 +126,62 @@ def _convolve(a, b, out_len, zero):
     return buf
 
 
+def _ground_product(a, b, out_len, zero, fold=()):
+    """_convolve of two sequences of ground scalars, on their raw integers.
+
+    With ``fold`` = (c_0, ..., c_{n-1}) the product is also reduced mod
+    X^n + c_{n-1} X^{n-1} + ... + c_0 to n coordinates: each coordinate
+    k >= n, from the top down, is folded as X^k = -X^(k-n) sum c_i X^i.
+    The result is the one BaseScalar arithmetic gives term by term: every
+    product of two scalars that are not exact zeros, convolution and fold
+    terms alike, sets its output's precision to at most min(prec_a,
+    prec_b), and an output with no term is ``zero``.
+    """
+    f = zero.field
+    xor = f.mode == "equal" and f.p == 2
+    acc, pr = [0] * out_len, [INFINITY] * out_len
+    since = 0  # rows added since the last reduce
+
+    def row(k0, x, xp, terms):
+        """Add x * y to coordinate k0 + j for each (j, y, yp) in terms."""
+        nonlocal since
+        if since == f._budget:
+            acc[:] = [f._settle(v, f.prec) for v in acc]
+            since = 0
+        since += 1
+        for j, y, yp in terms:
+            k = k0 + j
+            if k >= out_len:
+                break
+            if xor:
+                acc[k] ^= x * y
+            else:
+                acc[k] += x * y
+            q = xp if xp < yp else yp
+            if q < pr[k]:
+                pr[k] = q
+
+    terms = [(j, y.data, y.prec) for j, y in enumerate(b[:out_len])
+             if not y.exact_zero]
+    for i, x in enumerate(a[:out_len]):
+        if not x.exact_zero:
+            row(i, x.data, x.prec, terms)
+    n = len(fold) or out_len
+    if fold:
+        terms = [(i, c.data, c.prec) for i, c in enumerate(fold)
+                 if not c.exact_zero]
+        for k in range(out_len - 1, n - 1, -1):
+            if pr[k] != INFINITY:
+                t = f._settle(acc[k], pr[k])  # the top, negated below
+                if f.mode == "mixed":
+                    t = -t
+                elif not xor:
+                    t = f._fold(f._ones * f.p - t)
+                row(k - n, t, pr[k], terms)
+    return [zero if m == INFINITY else _scalar(f, f._settle(v, m), m, False)
+            for v, m in zip(acc[:n], pr)]
+
+
 class GroundField:
     """F_p((t)) or Q_p at a fixed default precision.
 
@@ -115,8 +191,8 @@ class GroundField:
     """
 
     __slots__ = ("mode", "p", "prec", "base", "ground", "degree",
-                 "absolute_degree", "ceiling", "_ppow", "_ones", "_bias",
-                 "_low", "_table")
+                 "absolute_degree", "ceiling", "_ppow", "_teich", "_budget",
+                 "_ones", "_bias", "_low", "_table")
 
     def __init__(self, mode, p, prec):
         if mode not in ("equal", "mixed"):
@@ -134,7 +210,9 @@ class GroundField:
         # the floor protocol: the bottom floor of every tower
         self.base, self.ground, self.degree = None, self, 1
         self.absolute_degree, self.ceiling = 1, prec
-        self._ppow = {}
+        self._ppow, self._teich = {}, {}
+        # rows _ground_product adds between reduces (see the docstring)
+        self._budget = INFINITY
         if mode == "equal":
             if p >= 257:
                 raise ValueError("F_p((t)) needs p < 257, got p = %d" % p)
@@ -148,6 +226,9 @@ class GroundField:
             self._bias = self._ones * ((1 << 15) - p)
             self._low = self._ones * 0xFF
             self._table = bytes(k % p for k in range(256))
+            if p > 2:
+                self._budget = ((1 << _SLOT) - p) // (prec * (p - 1) ** 2)
+                assert self._budget >= 1
 
     @classmethod
     def equal_char(cls, p, prec):
@@ -192,13 +273,11 @@ class GroundField:
             return self.zero()
         if self.mode == "equal":
             return self.from_int(r)
-        m = self.ppow(self.prec)
-        x = r
-        for _ in range(self.prec + 1):
-            y = pow(x, self.p, m)
-            if y == x:
-                break
-            x = y
+        x = self._teich.get(r)
+        if x is None:
+            # r^(p^(prec-1)) is the lift mod p^prec
+            x = self._teich[r] = pow(r, self.ppow(self.prec - 1),
+                                     self.ppow(self.prec))
         return _scalar(self, x, self.prec, False)
 
     def embed(self, x):
@@ -212,6 +291,12 @@ class GroundField:
     def _fold(self, s):
         """Subtract p from every slot of s that holds p or more."""
         return s - ((s + self._bias) >> 15 & self._ones) * self.p
+
+    def _settle(self, x, m):
+        """The data at precision m of a raw sum of products x."""
+        if self.mode == "equal":
+            return self._reduce(_cut(x, m), m)
+        return x % self.ppow(m)
 
     def _reduce(self, x, m):
         """Reduce every slot of the m-slot product x mod p."""
@@ -331,11 +416,7 @@ class BaseScalar(RingElement):
         if self.exact_zero or o.exact_zero:
             return f.zero(max(self.prec, o.prec))
         m = min(self.prec, o.prec)
-        if f.mode == "equal":
-            data = f._reduce(_cut(self.data * o.data, m), m)
-        else:
-            data = (self.data * o.data) % f.ppow(m)
-        return _scalar(f, data, m, False)
+        return _scalar(f, f._settle(self.data * o.data, m), m, False)
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ queries certifiable even at finite precision.
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar, RingElement, _convolve
+from .base import INFINITY, BaseScalar, RingElement, _convolve, _ground_product
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -162,9 +162,12 @@ class FloorElement(RingElement):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        n = self.floor.degree
-        buf = _convolve(self.coords, o.coords, 2 * n - 1, self.floor.base.zero())
-        cs = self.floor.poly.coeffs
+        fl = self.floor
+        n, cs = fl.degree, fl.poly.coeffs
+        if fl.base is fl.ground:
+            return FloorElement(fl, _ground_product(
+                self.coords, o.coords, 2 * n - 1, fl.ground.zero(), cs))
+        buf = _convolve(self.coords, o.coords, 2 * n - 1, fl.base.zero())
         for k in range(2 * n - 2, n - 1, -1):
             top = buf[k]
             if top.exact_zero:
@@ -172,7 +175,7 @@ class FloorElement(RingElement):
             # pi^k = -pi^(k-n) * sum c_i pi^i
             for i in range(n):
                 buf[k - n + i] = buf[k - n + i] - top * cs[i]
-        return FloorElement(self.floor, tuple(buf[:n]))
+        return FloorElement(fl, buf[:n])
 
     __rmul__ = __mul__
 

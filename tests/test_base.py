@@ -107,6 +107,26 @@ def test_teichmuller_mixed_is_root_of_unity():
     assert w.residue() == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_teichmuller_lift_is_the_stored_fixed_point(p):
+    for prec in (1, 2, 3, 8, 20, 64, 160, 400):
+        K = GroundField.mixed_char(p, prec)
+        m = p ** prec
+        for r in range(1, p):
+            x = r  # iterate x -> x^p to its fixed point
+            for _ in range(prec + 1):
+                y = pow(x, p, m)
+                if y == x:
+                    break
+                x = y
+            else:
+                pytest.fail("no fixed point for r = %d" % r)
+            assert x == pow(r, p ** (prec - 1), m)
+            assert K.teichmuller(r).data == x
+            assert K._teich[r] == x
+            assert K.teichmuller(r + p).data == x
+
+
 def test_teichmuller_equal_is_constant():
     K = GroundField.equal_char(3, 6)
     w = K.teichmuller(2)
