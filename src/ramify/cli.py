@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .base import INFINITY, GroundField
+from .base import INFINITY, GroundField, vp
 from .copolygon import VK, VL, fstar, truncated_psi, valuation_function
 from .errors import (
     BadTameDegree,
@@ -45,6 +45,8 @@ from .oracle import FULL, REDUCED, capital_phi, phi_grid
 from .series import evaluate, expand_digits
 from .tower import (
     compose_tower,
+    different_over,
+    expand_profile,
     expansion_horizon,
     expansion_room,
     ge_report,
@@ -159,13 +161,6 @@ def pick_field(job, name):
     return name
 
 
-def floor_profile(floor):
-    """The series of pi_base on a floor, and the profile read from it."""
-    target = floor.embed(floor.base.uniformizer())
-    series = expand_digits(target, expansion_horizon(floor, floor.base))
-    return series, inseparability_profile(series, floor.p_valuation())
-
-
 def swept_profile(top, base, cmax):
     """The series of pi_base on top, deep enough for a sweep to cmax."""
     return sweep_ready(top, top.embed(base.uniformizer()),
@@ -219,7 +214,7 @@ def parse_u(floor, text):
 
 def cmd_invariants(job, args):
     floor = job["floors"][pick_field(job, args.field)]
-    _, profile = floor_profile(floor)
+    _, profile = expand_profile(floor, floor.base)
     return {
         "n": profile.n,
         "nu": profile.nu,
@@ -231,7 +226,7 @@ def cmd_invariants(job, args):
 def cmd_phi(job, args):
     nonnegative("--at", args.at)
     floor = job["floors"][pick_field(job, args.field)]
-    _, profile = floor_profile(floor)
+    _, profile = expand_profile(floor, floor.base)
     if not 0 <= args.j <= profile.nu:
         raise ValueError("j must lie in [0, %d]" % profile.nu)
     fun = phi(profile, args.j)
@@ -248,7 +243,7 @@ def cmd_phi(job, args):
 
 def cmd_copolygon(job, args):
     floor = job["floors"][pick_field(job, args.field)]
-    series, profile = floor_profile(floor)
+    series, profile = expand_profile(floor, floor.base)
     es = fstar(series, floor)
     norm = VK if args.norm == "vK" else VL
     if norm == VK:
@@ -295,7 +290,7 @@ def cmd_tame(job, args):
     # e(H-1)+1 digits always fit: the base room H scales by e on the lift
     expanded = expand_digits(target, lift.series.horizon)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())
-    _, base = floor_profile(floor)
+    base = inseparability_profile(lift.base_series, floor.p_valuation())
     scaled = [args.e * v if v != INFINITY else None for v in base.i]
     return {
         "e": args.e,
@@ -349,14 +344,21 @@ def cmd_verify(job, args):
 
 
 def sweep_ready(floor, target, first_horizon, cmax):
-    """Expand target deep enough that every probe in the sweep resolves."""
-    series = expand_digits(target, first_horizon)
+    """Expand target once, deep enough that every probe in the sweep resolves.
+
+    The sweep reads i_0 + p^nu * cmax + 2 digits, and the different gives
+    i_0 = d - n + 1 before any digit is expanded.
+    """
+    n = target.valuation()
+    d = different_over(floor, n)
+    need = d - n + 3 + floor.p ** vp(n, floor.p) * cmax
+    expansion_room(floor, n, need)
+    series = expand_digits(target, max(first_horizon, need))
     profile = inseparability_profile(series, floor.p_valuation())
-    need = profile.i[0] + floor.p ** profile.nu * cmax + 2
-    expansion_room(floor, series.offset, need)
-    if need > series.horizon:
-        series = expand_digits(target, need)
-        profile = inseparability_profile(series, floor.p_valuation())
+    if profile.i[0] != d - n + 1:
+        raise TheoremViolation(
+            "i_0 = %s read off the digits, but the different exponent d = %s "
+            "gives d - n + 1 = %s" % (profile.i[0], d, d - n + 1))
     return series, profile
 
 

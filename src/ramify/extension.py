@@ -15,7 +15,7 @@ queries certifiable even at finite precision.
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar, RingElement, _convolve, _ground_product
+from .base import INFINITY, BaseScalar, RingElement, _convolve
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -163,19 +163,9 @@ class FloorElement(RingElement):
         if o is None:
             return NotImplemented
         fl = self.floor
-        n, cs = fl.degree, fl.poly.coeffs
-        if fl.base is fl.ground:
-            return FloorElement(fl, _ground_product(
-                self.coords, o.coords, 2 * n - 1, fl.ground.zero(), cs))
-        buf = _convolve(self.coords, o.coords, 2 * n - 1, fl.base.zero())
-        for k in range(2 * n - 2, n - 1, -1):
-            top = buf[k]
-            if top.exact_zero:
-                continue
-            # pi^k = -pi^(k-n) * sum c_i pi^i
-            for i in range(n):
-                buf[k - n + i] = buf[k - n + i] - top * cs[i]
-        return FloorElement(fl, buf[:n])
+        return FloorElement(fl, _convolve(
+            self.coords, o.coords, 2 * fl.degree - 1, fl.base.zero(),
+            fl.poly.coeffs))
 
     __rmul__ = __mul__
 
@@ -254,15 +244,11 @@ class FloorElement(RingElement):
         fl = self.floor
         w = fl.teichmuller(fl.residue_inverse(self.residue()))
         # Newton doubles the precision of 1 - x*w each round.
-        steps = max(1, fl.ceiling.bit_length() + 1)
-        for _ in range(steps):
+        for _ in range(fl.ceiling.bit_length() + 2):
             err = 1 - self * w
             if err.is_zero_to_precision():
                 return w
-            w = w * (2 - self * w)
-        err = 1 - self * w
-        if err.is_zero_to_precision():
-            return w
+            w = w + w * err
         raise PrecisionExhausted("inverse did not converge", bound=None)
 
     def __repr__(self):

@@ -108,6 +108,7 @@ class TameLift:
     floor: object
     series: object
     e: int
+    base_series: object
 
 
 def default_horizon(d_exp, offset, wild, p_val, room):
@@ -145,29 +146,36 @@ def expansion_room(top, offset, need=1):
     return room
 
 
-def expansion_horizon(top, base):
-    """Digit horizon for expanding pi_base on the floor ``top``.
+def different_over(top, offset):
+    """Different exponent of ``top`` over the floor ``offset`` degrees below.
 
-    Walks the floors from ``top`` down to ``base``: the different
-    exponents add up, each scaled by the degree of the floors above it,
-    and the offset is the product of the degrees.
+    The different exponents of the floors on the way down add up, each
+    scaled by the degree of the floors above it.
     """
-    d = different_exponent(top)
-    offset, walk = top.degree, top.base
-    while walk is not base:
-        d += offset * different_exponent(walk)
-        offset *= walk.degree
+    d, scale, walk = 0, 1, top
+    while scale < offset:
+        d += scale * different_exponent(walk)
+        scale *= walk.degree
         walk = walk.base
+    return d
+
+
+def expansion_horizon(top, base):
+    """Digit horizon for expanding pi_base on the floor ``top``."""
+    offset = top.absolute_degree // base.absolute_degree
+    d = different_over(top, offset)
     # an inseparable step is refused as bad input whatever the precision
     room = 0 if d == INFINITY else expansion_room(top, offset)
     return default_horizon(d, offset, vp(offset, top.p), top.p_valuation(),
                            room)
 
 
-def _expand_profile(floor, target, horizon):
-    series = expand_digits(floor.embed(target), horizon)
-    profile = inseparability_profile(series, floor.p_valuation())
-    return series, profile
+def expand_profile(top, base, horizon=None):
+    """The digit series of pi_base on ``top`` and the profile read off it."""
+    if horizon is None:
+        horizon = expansion_horizon(top, base)
+    series = expand_digits(top.embed(base.uniformizer()), horizon)
+    return series, inseparability_profile(series, top.p_valuation())
 
 
 def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
@@ -193,17 +201,9 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
         )
     ground = L.base
     M = attach_eisenstein(L, E2)
-    if lower_horizon is None:
-        lower_horizon = expansion_horizon(L, ground)
-    if upper_horizon is None:
-        upper_horizon = expansion_horizon(M, L)
-    if H is None:
-        H = expansion_horizon(M, ground)
-
-    piK = ground.uniformizer()
-    lower_series, lower = _expand_profile(L, piK, lower_horizon)
-    upper_series, upper = _expand_profile(M, L.uniformizer(), upper_horizon)
-    composed_series, composed = _expand_profile(M, piK, H)
+    lower_series, lower = expand_profile(L, ground, lower_horizon)
+    upper_series, upper = expand_profile(M, L, upper_horizon)
+    composed_series, composed = expand_profile(M, ground, H)
 
     _check_formal_composite(M, lower_series, upper_series, composed_series)
 
@@ -315,9 +315,8 @@ def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:
     if horizon is None:
         horizon = expansion_horizon(floor, base)
     series = expand_digits(floor.embed(base.uniformizer()), horizon)
-    series = normalize_leading_digit(series)
-    lifted = eth_root_substitute(series, e)
+    lifted = eth_root_substitute(normalize_leading_digit(series), e)
     pi = floor.uniformizer()
     coeffs = [-pi] + [floor.zero()] * (e - 1)
     floor_e = attach_eisenstein(floor, EisensteinPoly(coeffs))
-    return TameLift(floor_e, lifted, e)
+    return TameLift(floor_e, lifted, e, series)

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from conftest import CASE_BUILDERS
+from ramify import cli, tower
 from ramify.cli import main
+from ramify.invariants import inseparability_profile
+from ramify.series import expand_digits
+from ramify.tower import expansion_horizon, expansion_room
+from test_acceptance import fuzz_towers
 
 F2_QUADRATIC = {
     "p": 2,
@@ -367,3 +373,112 @@ def test_large_prime_job_answers(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["function"] == {
         "f0": [0, 1], "final_slope": 1, "vertices": []}
+
+
+README_MIXED = dict(TOWER, mode="MIXED")
+
+F3_CUBIC = {
+    "p": 3,
+    "mode": "EQUAL",
+    "precision": 64,
+    "steps": [
+        {"name": "L", "base": "K", "coeffs": [[[1, 1]], [[1, 1]], []]},
+    ],
+}
+
+Q3_CUBIC = dict(F3_CUBIC, mode="MIXED", steps=[
+    {"name": "L", "base": "K", "coeffs": [[[-1, 1]], [], []]},
+])
+
+
+@pytest.mark.parametrize("job", [TOWER, README_MIXED, F3_CUBIC, Q3_CUBIC],
+                         ids=["readme_equal", "readme_mixed", "f3_cubic",
+                              "q3_cubic"])
+def test_answers_do_not_depend_on_precision(tmp_path, capsys, job):
+    # an answer printed at a low precision is the one printed at 64; a job
+    # too short for its answer is refused with exit 3 and nothing on stdout
+    def run(precision, argv):
+        path = _write(tmp_path, dict(job, precision=precision))
+        code = main([argv[0], path] + argv[1:])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    for argv in (["verify", "--cmax", "2"], ["oracle", "--j", "0", "--c", "3"],
+                 ["invariants"], ["copolygon", "--norm", "vK"],
+                 ["tame", "--e", "5"]):
+        code, want, _ = run(64, argv)
+        assert code == 0
+        for precision in range(3, 21):
+            code, out, err = run(precision, argv)
+            if code == 0:
+                assert out == want, (argv, precision)
+            else:
+                assert (code, out) == (3, ""), (argv, precision, err)
+                assert err.startswith("error: ")
+
+
+def test_each_digit_series_is_expanded_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(target, horizon):
+        calls.append((target.floor.absolute_degree, target.valuation()))
+        return expand_digits(target, horizon)
+
+    monkeypatch.setattr(cli, "expand_digits", spy)
+    monkeypatch.setattr(tower, "expand_digits", spy)
+    job = _write(tmp_path, TOWER)
+    assert main(["verify", job, "--cmax", "6"]) == 0
+    # (absolute degree of the floor, offset): L/K, M/L and M/K
+    assert sorted(calls) == [(2, 2), (4, 2), (4, 4)]
+    calls.clear()
+    assert main(["tame", job, "--field", "L", "--e", "3"]) == 0
+    # the series of L/K, then the lifted series on the cubic floor over L
+    assert sorted(calls) == [(2, 2), (6, 2)]
+
+
+def test_sweep_refuses_an_i0_the_different_does_not_give(tmp_path, capsys,
+                                                          monkeypatch):
+    different_over = cli.different_over
+    monkeypatch.setattr(cli, "different_over",
+                        lambda top, offset: different_over(top, offset) + 1)
+    job = _write(tmp_path, TOWER)
+    assert main(["verify", job, "--cmax", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: i_0 = 1 read off the digits, but the different "
+                   "exponent d = 3 gives d - n + 1 = 2\n")
+
+
+def two_step_sweeps(top, base, cmaxes):
+    """Sweep series for each cmax the two-step way: read i_0 off a first
+    expansion, then expand again when the sweep needs more digits."""
+    target = top.embed(base.uniformizer())
+    first = expand_digits(target, expansion_horizon(top, base))
+    first_profile = inseparability_profile(first, top.p_valuation())
+    for cmax in cmaxes:
+        series, profile = first, first_profile
+        need = profile.i[0] + top.p ** profile.nu * cmax + 2
+        expansion_room(top, series.offset, need)
+        if need > series.horizon:
+            series = expand_digits(target, need)
+            profile = inseparability_profile(series, top.p_valuation())
+        yield cmax, series, profile
+
+
+def _sweep_fields():
+    for name in sorted(CASE_BUILDERS):
+        case = CASE_BUILDERS[name]()
+        yield case.floor, case.ground
+    for T in fuzz_towers()[:20]:
+        L, M = T.lower_floor, T.upper_floor
+        yield from ((L, L.base), (M, L), (M, L.base))
+
+
+def test_sweep_ready_matches_the_two_step_reference():
+    for top, base in _sweep_fields():
+        for cmax, want, want_profile in two_step_sweeps(top, base, range(7)):
+            got, got_profile = cli.swept_profile(top, base, cmax)
+            assert got.offset == want.offset
+            assert [c.residue() for c in got.coeffs] == \
+                [c.residue() for c in want.coeffs]
+            assert got_profile == want_profile

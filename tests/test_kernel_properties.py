@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import extension
+from ramify import base
 from ramify.base import BaseScalar, GroundField, _is_prime
 from ramify.extension import (
     EisensteinFloor,
@@ -142,13 +142,13 @@ def test_nested_floor_product_folds_generically(monkeypatch):
     pi = L.uniformizer()
     M = attach_eisenstein(L, EisensteinPoly([pi, pi, pi]))
     folds = []
-    kernel = extension._ground_product
+    kernel = base._ground_product
 
     def spy(a, b, out_len, zero, fold):
         folds.append(fold)
         return kernel(a, b, out_len, zero, fold)
 
-    monkeypatch.setattr(extension, "_ground_product", spy)
+    monkeypatch.setattr(base, "_ground_product", spy)
     x = M.uniformizer() + M.one()
     y = x * x
     assert folds and all(fold is L.poly.coeffs for fold in folds)
