@@ -22,6 +22,7 @@ or index resolution failure, 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,9 +276,9 @@ def cmd_oracle(job, args):
         "j": args.j,
         "c": args.c,
         "flavor": args.flavor,
-        "Phi": ser(Fraction(cap)),
-        "phi": ser(Fraction(expected)),
-        "match": Fraction(cap) == expected,
+        "Phi": ser(cap),
+        "phi": ser(expected),
+        "match": cap == expected,
     }
 
 
@@ -369,7 +370,6 @@ def oracle_grid(floor, series, profile, cmax):
         fun = phi(profile, j)
         for c, cap in enumerate(caps):
             expected = fun(c)
-            cap = Fraction(cap)
             match = cap == expected
             ok = ok and match
             rows.append([j, c, ser(expected), ser(cap), match])
@@ -394,6 +394,7 @@ def emit(payload, tsv=False):
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ramify",

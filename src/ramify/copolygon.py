@@ -81,13 +81,12 @@ def valuation_function(es: EpsilonSeries, norm=VL, max_degree=None) -> PLFunctio
         except PrecisionExhausted as exc:
             pending.append((exc.bound, i))
             continue
-        a = Fraction(v, es.n) if norm == VK else Fraction(v)
-        lines.append(Line(a, i))
+        lines.append(Line(Fraction(v, es.n) if norm == VK else v, i))
     if not lines:
         raise PrecisionExhausted("no coefficient valuation certifiable")
     env = PLFunction(lines)
     for bound, i in pending:
-        a = Fraction(bound, es.n) if norm == VK else Fraction(bound)
+        a = Fraction(bound, es.n) if norm == VK else bound
         # the true line sits at or above the bound; dominated bounds are safe
         if not env.dominates_line(a, i):
             raise PrecisionExhausted(

@@ -100,15 +100,13 @@ def inseparability_profile(series, vLp) -> InsepProfile:
 
 
 def phi_tilde(profile: InsepProfile, j: int) -> Line:
-    return Line(Fraction(profile.i[j]), profile.p ** j)
+    return Line(profile.i[j], profile.p ** j)
 
 
 def phi(profile: InsepProfile, j: int) -> PLFunction:
     if not 0 <= j <= profile.nu:
         raise ValueError("j out of range")
-    return PLFunction(
-        [Line(Fraction(profile.i[j0]), profile.p ** j0) for j0 in range(j + 1)]
-    )
+    return PLFunction([phi_tilde(profile, j0) for j0 in range(j + 1)])
 
 
 @dataclass(frozen=True)

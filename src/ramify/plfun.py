@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 
 class Line(NamedTuple):
-    intercept: Fraction
+    intercept: int | Fraction
     slope: int
 
-    def at(self, x) -> Fraction:
-        return Fraction(self.intercept) + self.slope * Fraction(x)
+    def at(self, x):
+        return self.intercept + self.slope * x
 
 
 class PLFunction:
@@ -50,7 +50,6 @@ class PLFunction:
 
     def scale(self, m) -> "PLFunction":
         """x -> m * self(x / m) for a positive rational m; slopes are kept."""
-        m = Fraction(m)
         if m <= 0:
             raise ValueError("scale factor must be positive")
         return PLFunction([Line(m * a, s) for a, s in self.lines])
@@ -70,7 +69,7 @@ class PLFunction:
 
     def dominates_line(self, intercept, slope) -> bool:
         """True if intercept + slope*x >= self(x) for every x >= 0."""
-        probe = Line(Fraction(intercept), slope)
+        probe = Line(intercept, slope)
         if probe.at(0) < self(0):
             return False
         for x, y in self.vertices():
@@ -106,7 +105,9 @@ class PLFunction:
 def _canonical(lines):
     cleaned = {}
     for ln in lines:
-        a, s = Fraction(ln[0]), int(ln[1])
+        a, s = ln[0], int(ln[1])
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
         if s <= 0:
             raise ValueError("slopes must be positive integers")
         if a < 0:
@@ -122,20 +123,15 @@ def _canonical(lines):
     hull = []
     starts = []
     for s, a in order:
-        ln = Line(a, s)
         while hull:
             top = hull[-1]
-            cross = Fraction(ln.intercept - top.intercept, top.slope - ln.slope)
-            if cross <= starts[-1]:
-                hull.pop()
-                starts.pop()
-            else:
+            start = Fraction(a - top.intercept, top.slope - s)
+            if start > starts[-1]:
                 break
-        if hull:
-            top = hull[-1]
-            start = Fraction(ln.intercept - top.intercept, top.slope - ln.slope)
+            hull.pop()
+            starts.pop()
         else:
-            start = Fraction(0)
-        hull.append(ln)
+            start = 0
+        hull.append(Line(a, s))
         starts.append(start)
     return tuple(hull)

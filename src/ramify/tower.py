@@ -232,10 +232,8 @@ def _pair_lines(T: TowerProfile, l: int):
     out = {}
     for j in range(min(l, T.lower.nu) + 1):
         for k in range(min(l - j, T.upper.nu) + 1):
-            out[(j, k)] = Line(
-                Fraction(m * T.lower.i[j] + p ** j * T.upper.i[k]),
-                p ** (j + k),
-            )
+            out[(j, k)] = Line(m * T.lower.i[j] + p ** j * T.upper.i[k],
+                               p ** (j + k))
     return out
 
 
@@ -296,7 +294,7 @@ def ge_report(T: TowerProfile, l: int, x) -> GeReport:
 def corollary_report(T: TowerProfile, l: int) -> CorollaryReport:
     """The index bound at x = 0, reported with the observed relation."""
     lines = _pair_lines(T, l)
-    bound = min(int(ln.intercept) for ln in lines.values())
+    bound = min(ln.intercept for ln in lines.values())
     pairs = tuple(
         sorted(jk for jk, ln in lines.items() if ln.intercept == bound)
     )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -328,6 +331,28 @@ def test_equal_precision_bound_names_field_and_limit(tmp_path, capsys):
     assert out == ""
     assert err == ("error: precision 20000 too large for F_3((t)): "
                    "at most 16383\n")
+
+
+def test_parser_survives_a_refused_flag(tmp_path, capsys):
+    # the parser is built once per process, so an argparse exit must not
+    # change what the next call prints
+    job = _write(tmp_path, TOWER)
+    argv = ["tower", job, "--l", "2", "--at", "1/2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", job, "--l", "2", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = _run(capsys, argv)
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ramify.cli import main; sys.exit(main(sys.argv[1:]))"]
+        + argv,
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert out == fresh.stdout
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,12 +18,17 @@ def _grid():
     return sorted(set(out))
 
 
+def _intercept(rng, top, dens):
+    """A plain int when the drawn denominator is 1, else a Fraction."""
+    num, den = rng.randrange(0, top), rng.choice(dens)
+    return num if den == 1 else Fraction(num, den)
+
+
 def _random_function(rng, k=4):
     lines = []
     for _ in range(k):
         slope = rng.choice([1, 2, 3, 4, 8, 9])
-        intercept = Fraction(rng.randrange(0, 24), rng.choice([1, 2, 3]))
-        lines.append(Line(intercept, slope))
+        lines.append(Line(_intercept(rng, 24, [1, 2, 3]), slope))
     return PLFunction(lines)
 
 
@@ -43,8 +48,7 @@ def test_call_is_min_of_lines():
     rng = random.Random(7)
     for _ in range(25):
         lines = [
-            Line(Fraction(rng.randrange(0, 16), rng.choice([1, 2, 4])),
-                 rng.choice([1, 2, 3, 4, 9]))
+            Line(_intercept(rng, 16, [1, 2, 4]), rng.choice([1, 2, 3, 4, 9]))
             for _ in range(5)
         ]
         f = PLFunction(lines)
@@ -123,3 +127,29 @@ def test_as_dict_shape():
     f = PLFunction([Line(_f(1), 1), Line(_f(0), 2)])
     d = f.as_dict()
     assert d == {"f0": [0, 1], "vertices": [[1, 1, 2, 1]], "final_slope": 1}
+
+
+def test_int_and_fraction_intercepts_give_the_same_envelope():
+    rng = random.Random(19)
+    for _ in range(25):
+        ints = [Line(rng.randrange(0, 24), rng.choice([1, 2, 3, 4, 8, 9]))
+                for _ in range(5)]
+        f = PLFunction(ints)
+        g = PLFunction([Line(Fraction(a), s) for a, s in ints])
+        assert all(type(a) is int for a, _ in f.lines)
+        assert f.lines == g.lines
+        assert hash(f) == hash(g)
+        assert repr(f) == repr(g)
+        assert f.as_dict() == g.as_dict()
+        for x in _grid()[::9]:
+            assert type(f(x)) is Fraction and f(x) == g(x)
+        for x, y in f.vertices():
+            assert type(x) is Fraction and type(y) is Fraction
+
+
+def test_float_intercept_and_argument_stay_exact():
+    f = PLFunction([Line(0.5, 1), Line(0, 2)])
+    assert f.lines == (Line(0, 2), Line(Fraction(1, 2), 1))
+    assert f(0.25) == Fraction(1, 2) and type(f(0.25)) is Fraction
+    assert f(1.5) == Fraction(2) and type(f(1.5)) is Fraction
+    assert f.vertices() == [(Fraction(1, 2), Fraction(1))]
