@@ -22,6 +22,7 @@ from .series import (
     compose_series,
     eth_root_substitute,
     evaluate,
+    evaluate_at_pi,
     expand_digits,
     normalize_leading_digit,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "compose_series",
     "eth_root_substitute",
     "evaluate",
+    "evaluate_at_pi",
     "expand_digits",
     "normalize_leading_digit",
     "CorollaryReport",

@@ -29,13 +29,14 @@ slots at once.  No slot overflows into the next:
   0 for p = 2, else by folding each slot's high byte onto its low one
   (2^8 = r mod p; a slot stays at most 255 (p-1) + 255 = 255 p < 2^16,
   as p <= 256) until every slot fits a byte, which a table reduces.
-* sums of products (_ground_product): for p = 2 the raw products are
-  XORed.  No slot of one product carries (it is at most prec), XOR never
-  does, and bit 0 of a slot of the XOR is the parity of the slot sum, so
-  one mask per output reduces it.  For odd p the raw products are added
-  and reduced once per output.  A kept slot of one raw product of reduced
-  operands is at most prec (p-1)^2, prec the field's; a remainder left by
-  an intermediate reduce counts as one term of at most p - 1 per slot.
+* sums of products (_ground_product, _ground_matvec): for p = 2 the raw
+  products are XORed.  No slot of one product carries (it is at most
+  prec), XOR never does, and bit 0 of a slot of the XOR is the parity of
+  the slot sum, so one mask per output reduces it.  For odd p the raw
+  products are added and reduced once per output.  A kept slot of one raw
+  product of reduced operands is at most prec (p-1)^2, prec the field's;
+  a remainder left by an intermediate reduce counts as one term of at
+  most p - 1 per slot.
   So (2^16 - 1 - (p-1)) // (prec (p-1)^2) raw products fit on top of a
   remainder before the sum is reduced again.  That budget is at least 1
   for every odd p < 257 at every accepted prec (GroundField checks it);
@@ -193,6 +194,40 @@ def _ground_product(a, b, out_len, zero, fold=()):
             for v, m in zip(acc[:n], pr)]
 
 
+def _ground_matvec(terms, zero):
+    """The sum of M x over (M, x) in terms, on raw ground integers.
+
+    M is given by rows: rows[k] lists (j, d, dp) for each nonzero entry
+    M[k][j], d its data at precision dp; x is a sequence of ground
+    scalars.  As in _ground_product, each product of an entry and an x_j
+    that is not an exact zero bounds its output's precision, and an
+    output with no such product is ``zero``.
+    """
+    f = zero.field
+    xor = f.mode == "equal" and f.p == 2
+    out = []
+    for k in range(len(terms[0][0])):
+        v, q, since = 0, INFINITY, 0  # since: products since the last reduce
+        for rows, x in terms:
+            for j, d, dp in rows[k]:
+                y = x[j]
+                if y.exact_zero:
+                    continue
+                if since == f._budget:
+                    v, since = f._settle(v, f.prec), 0
+                since += 1
+                if xor:
+                    v ^= y.data * d
+                else:
+                    v += y.data * d
+                m = y.prec if y.prec < dp else dp
+                if m < q:
+                    q = m
+        out.append(zero if q == INFINITY
+                   else _scalar(f, f._settle(v, q), q, False))
+    return out
+
+
 class GroundField:
     """F_p((t)) or Q_p at a fixed default precision.
 
@@ -298,6 +333,10 @@ class GroundField:
 
     def residue_inverse(self, r: int) -> int:
         return pow(r, -1, self.p)
+
+    def mul_rows(self, w):
+        """The 1 x 1 matrix of x -> x * w, as EisensteinFloor.mul_rows."""
+        return [[] if w.exact_zero else [(0, w.data, w.prec)]]
 
     def _fold(self, s):
         """Subtract p from every slot of s that holds p or more."""

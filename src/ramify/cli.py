@@ -43,7 +43,7 @@ from .errors import (
 from .extension import EisensteinPoly, attach_eisenstein
 from .invariants import inseparability_profile, phi
 from .oracle import FULL, REDUCED, capital_phi, phi_grid
-from .series import evaluate, expand_digits
+from .series import evaluate_at_pi, expand_digits
 from .tower import (
     compose_tower,
     different_over,
@@ -287,7 +287,7 @@ def cmd_tame(job, args):
         raise ValueError("--e must be positive, got %d" % args.e)
     floor = job["floors"][pick_field(job, args.field)]
     lift = tame_lift_tower(floor, args.e)
-    target = evaluate(lift.series, lift.floor.uniformizer())
+    target = evaluate_at_pi(lift.series, lift.floor)
     # e(H-1)+1 digits always fit: the base room H scales by e on the lift
     expanded = expand_digits(target, lift.series.horizon)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())

@@ -15,7 +15,7 @@ queries certifiable even at finite precision.
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar, RingElement, _convolve
+from .base import INFINITY, BaseScalar, RingElement, _convolve, _ground_matvec
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -62,7 +62,7 @@ class EisensteinFloor:
     """One totally ramified step: base[pi] / E(pi) = 0."""
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
-                 "absolute_degree", "_c0_unit_inv")
+                 "absolute_degree", "_c0_unit_inv", "_pi_rows")
 
     def __init__(self, base, poly):
         self.base = base
@@ -71,7 +71,7 @@ class EisensteinFloor:
         self.p, self.mode, self.ground = base.p, base.mode, base.ground
         self.ceiling = self.degree * base.ceiling
         self.absolute_degree = self.degree * base.absolute_degree
-        self._c0_unit_inv = None
+        self._c0_unit_inv = self._pi_rows = None
 
     # -- floor protocol ------------------------------------------------
 
@@ -114,6 +114,45 @@ class EisensteinFloor:
         if self._c0_unit_inv is None:
             self._c0_unit_inv = self.poly.coeffs[0].udiv(1).unit_inverse()
         return self._c0_unit_inv
+
+    def mul_rows(self, w):
+        """The matrix of x -> x * w on ground coordinates, by rows.
+
+        Row k lists (j, data, prec) for each ground coordinate k of
+        e_j * w that is not an exact zero, e_j the j-th ground basis
+        element and the product the floor's own.  A product x * w is
+        linear in x's ground coordinates, so it forms exactly the terms
+        x_j times an entry: base._ground_matvec over these rows gives its
+        data, precisions and exact-zero flags.
+        """
+        size = self.absolute_degree
+        one, zero = self.ground.one(), self.ground.zero()
+        cols = [_ground_coords(_from_ground(
+            self, [one if i == j else zero for i in range(size)]) * w)
+            for j in range(size)]
+        return [[(j, col[k].data, col[k].prec) for j, col in enumerate(cols)
+                 if not col[k].exact_zero] for k in range(size)]
+
+    def pi_rows(self):
+        """mul_rows of the uniformizer, built once per floor by shift and fold.
+
+        Ground coordinate k takes coordinate k - width times one, width
+        the base's absolute degree, and the old top's coordinates fold
+        into the place of each c_i through the base's mul_rows of -c_i:
+        width * degree products on the base in all.
+        """
+        if self._pi_rows is None:
+            base, one = self.base, self.ground.one()
+            width, size = base.absolute_degree, self.absolute_degree
+            rows = [[] for _ in range(width)]
+            rows += [[(k - width, one.data, one.prec)]
+                     for k in range(width, size)]
+            for i, c in enumerate(self.poly.coeffs):
+                for r, row in enumerate(base.mul_rows(-c)):
+                    rows[i * width + r] += [(size - width + a, d, dp)
+                                            for a, d, dp in row]
+            self._pi_rows = rows
+        return self._pi_rows
 
     def __repr__(self):
         return "%r[pi] deg %d" % (self.base, self.degree)
@@ -168,6 +207,20 @@ class FloorElement(RingElement):
             fl.poly.coeffs))
 
     __rmul__ = __mul__
+
+    def times_pi(self):
+        """self * pi by shift and fold: the coordinates move up one place
+        and the old top folds back through E, a_(i-1) - top * c_i.
+
+        Data, precisions and exact-zero flags are those of
+        ``self * floor.uniformizer()``, which multiplies every coordinate
+        by one and forms each top * c_i afresh.  Here the floor's cached
+        pi_rows hold both, and one pass over the raw ground integers
+        applies them.
+        """
+        fl = self.floor
+        return _from_ground(fl, _ground_matvec(
+            [(fl.pi_rows(), _ground_coords(self))], fl.ground.zero()))
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -253,6 +306,23 @@ class FloorElement(RingElement):
 
     def __repr__(self):
         return "FloorElement(%r)" % (list(self.coords),)
+
+
+def _ground_coords(x):
+    """The ground coordinates of a floor element, lowest first."""
+    if type(x.coords[0]) is BaseScalar:
+        return x.coords
+    return [g for c in x.coords for g in _ground_coords(c)]
+
+
+def _from_ground(floor, gs):
+    """The element of ``floor`` with ground coordinates gs."""
+    base = floor.base
+    if base.base is None:
+        return FloorElement(floor, gs)
+    w = base.absolute_degree
+    return FloorElement(floor, [_from_ground(base, gs[k:k + w])
+                                for k in range(0, len(gs), w)])
 
 
 def different_exponent(floor):

@@ -22,6 +22,12 @@ c = 0 with nilpotency p^(nu+1) therefore holds every row:
 
 phi_grid reads a field's rows that way; capital_phi probes one (j, c)
 directly and stays the reference it is tested against.
+
+Every probe runs series.evaluate_at_pi, which multiplies by pi by shift
+and fold (the floor's rows that FloorElement.times_pi applies) and
+forms no generic floor product in its Horner steps; the generic
+series.evaluate stays the reference route, and the tests compare the
+two bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import math
 from .base import INFINITY, BaseScalar, vp
 from .errors import PrecisionExhausted, TheoremViolation
 # bench/spans.py counts DualElement's ring operations through this module
-from .series import DualElement, DualRing, Series, evaluate  # noqa: F401
+from .series import (  # noqa: F401
+    DualElement, DualRing, Series, evaluate, evaluate_at_pi)
 
 FULL = "full"
 REDUCED = "reduced"
@@ -51,16 +58,19 @@ def _probe(F, floor, c, u, nil):
     F has eps-degree below offset + horizon there, so the ring stops at
     that degree when nil is larger: every coefficient past it is zero.
     """
-    ring = DualRing(floor, min(nil, F.offset + F.horizon))
-    pi = floor.uniformizer()
+    grid = c == 0 and isinstance(u, int) and u == 1
     if isinstance(u, int):
         u = floor.from_int(u)
     else:
         u = floor.embed(u)
     if u.residue() == 0:
         raise ValueError("u must be a unit")
-    z = ring.element([pi, u * pi ** (c + 1)])
-    return evaluate(F, z)
+    w = None  # at c = 0 and u = 1 it is pi, whose rows the floor keeps
+    if not grid:
+        w = u
+        for _ in range(c + 1):
+            w = w.times_pi()
+    return evaluate_at_pi(F, floor, min(nil, F.offset + F.horizon), w)
 
 
 def _field_probe(F, floor):

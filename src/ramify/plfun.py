@@ -20,7 +20,8 @@ class Line(NamedTuple):
     slope: int
 
     def at(self, x):
-        return self.intercept + self.slope * x
+        # x first: a Fraction x keeps to Fraction's forward operators
+        return x * self.slope + self.intercept
 
 
 class PLFunction:

@@ -12,13 +12,21 @@ Truncated power series live in DualRing, floor[eps] / (eps^nil) over
 any floor or the ground field.  The oracle perturbs the uniformizer in
 it; here the composite of two series is one evaluation in it, and the
 e-th root is solved digit by digit with its powers.
+
+evaluate is the generic Horner route at any point of any ring.  At the
+uniformizer of a floor, perturbed or not, evaluate_at_pi multiplies by
+pi by shift and fold on the ground coordinates instead; it serves every
+probe, the formal-composite check and tame, and evaluate stays the
+reference the tests compare it against, as compose_series and the
+oracle's divided_congruence keep using it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .base import RingElement, _convolve, digit_expand_base
+from .base import RingElement, _convolve, _ground_matvec, digit_expand_base
+from .extension import _from_ground
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
@@ -158,6 +166,41 @@ def evaluate(series, x):
     for h in range(series.horizon - 1, -1, -1):
         acc = acc * x + ring.embed(series.coeffs[h])
     return acc * x ** series.offset
+
+
+def evaluate_at_pi(series, floor, nil=None, w=None):
+    """Horner evaluation at the uniformizer pi of ``floor``, by shift and fold.
+
+    Without ``nil`` it gives F(pi) on the floor; with it, F(pi + w*eps)
+    in DualRing(floor, nil), w = pi when omitted.  A step takes the
+    eps-coefficients a_k to a_k pi + a_(k-1) w, the closing pi^offset
+    being ``offset`` further steps.  Both products are matrices on the
+    ground coordinates: times_pi's rows, built once per floor, and w's,
+    built once per call, so a step forms no floor product at all.  Data,
+    precisions and exact-zero flags are those of evaluate(series, z) at
+    the same z, which stays the reference route.
+    """
+    zero = floor.ground.zero()
+    rows = floor.pi_rows()
+    w_rows = rows if w is None else floor.mul_rows(w)
+    top = 1 if nil is None else nil
+    acc = []  # ground coordinates of the eps-coefficients; the rest are 0
+    for c in list(reversed(series.coeffs)) + [None] * series.offset:
+        new = [_ground_matvec([(rows, a)], zero) for a in acc[:1]]
+        new += [_ground_matvec([(w_rows, b), (rows, a)], zero)
+                for b, a in zip(acc, acc[1:])]
+        if 0 < len(acc) < top:
+            new.append(_ground_matvec([(w_rows, acc[-1])], zero))
+        if c is not None:
+            if not new:
+                new = [[zero] * floor.absolute_degree]
+            new[0][0] = new[0][0] + c
+        acc = new
+    out = [_from_ground(floor, a) for a in acc]
+    if nil is None:
+        return out[0] if out else floor.zero()
+    return DualElement(DualRing(floor, nil),
+                       out + [floor.zero()] * (nil - len(out)))
 
 
 def normalize_leading_digit(series: Series) -> Series:

@@ -17,7 +17,7 @@ one-sided claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .base import INFINITY, vp
@@ -39,7 +39,7 @@ from .series import (
     Series,
     compose_series,
     eth_root_substitute,
-    evaluate,
+    evaluate_at_pi,
     expand_digits,
     normalize_leading_digit,
 )
@@ -56,6 +56,8 @@ class TowerProfile:
     lower_series: object
     upper_series: object
     composed_series: object
+    # lambda^l by l, built once by lambda_l
+    _lambdas: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self):
@@ -220,7 +222,7 @@ def _check_formal_composite(M, F, G, H):
     depth = min(G.horizon, F.horizon * G.offset, H.horizon)
     formal = compose_series(F, G, depth)
     diff = Series(0, [formal.coeffs[h] - H.coeffs[h] for h in range(depth)])
-    if not evaluate(diff, M.uniformizer()).has_valuation_at_least(depth):
+    if not evaluate_at_pi(diff, M).has_valuation_at_least(depth):
         raise TheoremViolation(
             "formal composite disagrees with the direct digit expansion"
         )
@@ -238,9 +240,19 @@ def _pair_lines(T: TowerProfile, l: int):
 
 
 def lambda_l(T: TowerProfile, l: int) -> PLFunction:
-    """Lower-bound envelope for the composed l-th break function."""
+    """Lower-bound envelope for the composed l-th break function.
+
+    Built, and its two forms compared, once per tower and l.
+    """
     if not 0 <= l <= T.lower.nu + T.upper.nu:
         raise ValueError("l out of range")
+    env = T._lambdas.get(l)
+    if env is None:
+        env = T._lambdas[l] = _build_lambda(T, l)
+    return env
+
+
+def _build_lambda(T, l):
     env = None
     for j in range(min(l, T.lower.nu) + 1):
         k = l - j

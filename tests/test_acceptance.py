@@ -7,11 +7,14 @@ Criteria 9 and 10 share one seeded batch of random two-step towers.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from ramify import tower as tower_module
 from ramify.base import GroundField, INFINITY, vp
 from ramify.copolygon import VK, fstar, truncated_psi, valuation_function
 from ramify.errors import IndexUnresolved, PrecisionExhausted, TheoremViolation
@@ -241,6 +244,28 @@ def test_acceptance_9_lower_bound_never_violated():
                 if report.hypothesis:
                     assert report.equality, (idx, l, x)
     print("ACCEPTANCE 9 lower-bound-fuzz: PASS")
+
+
+def test_ge_report_sweep_builds_each_lambda_once(monkeypatch):
+    # fresh towers: the cached batch above may have built its lambdas already
+    rng = random.Random(20260816)
+    towers = [_build_fuzz_tower(rng) for _ in range(8)]
+    built = Counter()
+    build = tower_module._build_lambda
+
+    def spy(T, l):
+        built[id(T), l] += 1
+        return build(T, l)
+
+    monkeypatch.setattr(tower_module, "_build_lambda", spy)
+    sweep = [(T, l, x) for T in towers
+             for l in range(T.lower.nu + T.upper.nu + 1)
+             for x in _tower_sample_points(T, l)]
+    reports = [ge_report(T, l, x) for T, l, x in sweep]
+    assert built == Counter({(id(T), l): 1 for T, l, _ in sweep})
+    # the same reports as from a tower whose cache starts empty each time
+    for (T, l, x), report in zip(sweep, reports):
+        assert ge_report(replace(T, _lambdas={}), l, x) == report
 
 
 def test_acceptance_10_invariant_chain():

@@ -153,3 +153,16 @@ def test_float_intercept_and_argument_stay_exact():
     assert f(0.25) == Fraction(1, 2) and type(f(0.25)) is Fraction
     assert f(1.5) == Fraction(2) and type(f(1.5)) is Fraction
     assert f.vertices() == [(Fraction(1, 2), Fraction(1))]
+
+
+def test_line_at_keeps_the_old_values_and_types():
+    # x * slope + intercept, the order that keeps a Fraction x on
+    # Fraction's forward operators, against intercept + slope * x
+    numbers = [0, 3, 7, Fraction(0), Fraction(5, 2), Fraction(7, 3),
+               Fraction(4)]
+    for a in numbers:
+        for s in (1, 2, 9):
+            for x in numbers:
+                old = a + s * x
+                new = Line(a, s).at(x)
+                assert new == old and type(new) is type(old), (a, s, x)

@@ -1,0 +1,174 @@
+"""Multiplication by pi by shift and fold, and the probes built on it.
+
+``FloorElement.times_pi`` must give what ``x * floor.uniformizer()`` gives,
+and ``series.evaluate_at_pi`` (every probe of the oracle, the formal
+composite check, ``tame``) what the generic ``series.evaluate`` gives at
+the same point.  Both sides are compared on every ground coordinate:
+data, precision and exact-zero flag.  Random Eisenstein floors, flat and
+nested, of degree 1 to 3 over F_p((t)) and Q_p for p in {2, 3}, with
+coordinates and coefficients cut short, add to the fixed fixtures.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramify.base import BaseScalar, GroundField, vp
+from ramify.extension import EisensteinPoly, FloorElement, attach_eisenstein
+from ramify.oracle import _probe
+from ramify.series import DualRing, Series, evaluate, evaluate_at_pi
+
+from conftest import CASE_BUILDERS, build_double_quadratic_tower, short_scalar
+
+PREC = 24
+FIELDS = {(mode, p): GroundField(mode, p, PREC)
+          for mode in ("equal", "mixed") for p in (2, 3)}
+
+
+def _scalars(x):
+    """The ground scalars of a scalar, floor element or dual element."""
+    if isinstance(x, BaseScalar):
+        return [x]
+    parts = x.coeffs if hasattr(x, "ring") else x.coords
+    return [g for c in parts for g in _scalars(c)]
+
+
+def ground(x):
+    """(data, prec, exact_zero) of every ground coordinate, lowest first."""
+    return [(g.data, g.prec, g.exact_zero) for g in _scalars(x)]
+
+
+def _assemble(floor, scalars):
+    """The element of ``floor`` with the given ground coordinates."""
+    if floor.base is None:
+        return scalars[0]
+    w = floor.base.absolute_degree
+    return FloorElement(floor, [_assemble(floor.base, scalars[k:k + w])
+                                for k in range(0, len(scalars), w)])
+
+
+@st.composite
+def scalars(draw, K, kinds=("exact_zero", "digits", "short")):
+    """An exact zero (at any precision, as udiv leaves one), a few digits
+    past a valuation, or those cut short."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "exact_zero":
+        return K.zero(draw(st.sampled_from([PREC, 0, PREC - 1])))
+    t = K.uniformizer()
+    x = K.zero()
+    v = draw(st.integers(0, 3))
+    for k, d in enumerate(draw(st.lists(st.integers(0, K.p - 1),
+                                        min_size=1, max_size=5))):
+        x = x + K.from_int(d) * t ** (v + k)
+    if kind == "short":
+        x = short_scalar(x, draw(st.integers(1, PREC)))
+    return x
+
+
+@st.composite
+def elements(draw, floor, kinds=("exact_zero", "digits", "short")):
+    K = floor.ground
+    return _assemble(floor, [draw(scalars(K, kinds))
+                             for _ in range(floor.absolute_degree)])
+
+
+@st.composite
+def eisenstein(draw, base):
+    """pi_base * unit, then multiples of pi_base, all cut to as few as
+    three digits or kept whole."""
+    K = base.ground
+    pi = base.uniformizer()
+    n = draw(st.integers(1, 3))
+    unit = base.from_int(draw(st.integers(1, K.p - 1)))
+    whole = ("exact_zero", "digits")
+    coeffs = [pi * (unit + pi * draw(elements(base, whole)))]
+    coeffs += [pi * draw(elements(base, whole)) for _ in range(n - 1)]
+    if draw(st.booleans()):
+        cut = draw(st.integers(3, PREC))
+        coeffs = [_assemble(base, [g if g.exact_zero
+                                   else short_scalar(g, min(cut, g.prec))
+                                   for g in _scalars(c)])
+                  for c in coeffs]
+    return EisensteinPoly(coeffs)
+
+
+@st.composite
+def floors(draw):
+    """A flat floor, or one nested on a flat floor; degrees 1 to 3."""
+    K = FIELDS[draw(st.sampled_from(["equal", "mixed"])),
+               draw(st.sampled_from([2, 3]))]
+    floor = attach_eisenstein(K, draw(eisenstein(K)))
+    if draw(st.booleans()):
+        floor = attach_eisenstein(floor, draw(eisenstein(floor)))
+    return floor
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_times_pi_is_the_product_with_pi(data):
+    floor = data.draw(floors())
+    pi = floor.uniformizer()
+    fast = slow = data.draw(elements(floor))
+    for _ in range(3):
+        fast, slow = fast.times_pi(), slow * pi
+        assert ground(fast) == ground(slow)
+
+
+def _reference_probe(F, floor, c, u, nil):
+    pi = floor.uniformizer()
+    ring = DualRing(floor, min(nil, F.offset + F.horizon))
+    return evaluate(F, ring.element([pi, u * pi ** (c + 1)]))
+
+
+def assert_probes_match(F, floor, cs=range(4)):
+    """Every probe, and F(pi) itself, against the generic Horner route."""
+    pi = floor.uniformizer()
+    assert ground(evaluate_at_pi(F, floor)) == ground(evaluate(F, pi))
+    p = floor.p
+    for nil in sorted({1, 2, p ** (vp(F.offset, p) + 1)}):
+        for c in cs:
+            # u = 1 as the oracle passes it, and u = 1 + pi
+            for u, unit in ((1, floor.one()), (floor.one() + pi,) * 2):
+                want = _reference_probe(F, floor, c, unit, nil)
+                got = _probe(F, floor, c, u, nil)
+                assert ground(got) == ground(want), (nil, c, u)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_probes_match_generic_evaluation_on_random_floors(data):
+    floor = data.draw(floors())
+    K = floor.ground
+    coeffs = data.draw(st.lists(scalars(K), min_size=1, max_size=4))
+    F = Series(data.draw(st.integers(1, 4)), coeffs)
+    assert_probes_match(F, floor, cs=(0, data.draw(st.integers(1, 3))))
+
+
+@pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
+def test_probes_match_generic_evaluation_on_fixtures(name):
+    case = CASE_BUILDERS[name]()
+    assert_probes_match(case.series, case.floor)
+    short = Series(case.series.offset,
+                   [short_scalar(c, 5) for c in case.series.coeffs])
+    assert_probes_match(short, case.floor)
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_probes_match_generic_evaluation_on_the_readme_tower(mode):
+    T = build_double_quadratic_tower(mode=mode)
+    assert_probes_match(T.composed_series, T.upper_floor, cs=(0, 3))
+    assert_probes_match(T.upper_series, T.upper_floor, cs=(0, 1))
+    assert_probes_match(T.lower_series, T.lower_floor)
+
+
+def test_probes_match_on_a_short_eisenstein_polynomial():
+    # X^2 + tX + t with both coefficients known to 6 digits; the series is
+    # the digit series of the full-precision floor
+    case = CASE_BUILDERS["f2_quadratic"]()
+    K = case.ground
+    t = K.uniformizer()
+    short = attach_eisenstein(
+        K, EisensteinPoly([short_scalar(t, 6), short_scalar(t, 6)]))
+    assert_probes_match(case.series, short)
