@@ -49,7 +49,6 @@ from .tower import (
     different_over,
     expand_profile,
     expansion_horizon,
-    expansion_room,
     ge_report,
     lambda_l,
     tame_lift_tower,
@@ -288,7 +287,6 @@ def cmd_tame(job, args):
     floor = job["floors"][pick_field(job, args.field)]
     lift = tame_lift_tower(floor, args.e)
     target = evaluate_at_pi(lift.series, lift.floor)
-    # e(H-1)+1 digits always fit: the base room H scales by e on the lift
     expanded = expand_digits(target, lift.series.horizon)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())
     base = inseparability_profile(lift.base_series, floor.p_valuation())
@@ -348,12 +346,12 @@ def sweep_ready(floor, target, first_horizon, cmax):
     """Expand target once, deep enough that every probe in the sweep resolves.
 
     The sweep reads i_0 + p^nu * cmax + 2 digits, and the different gives
-    i_0 = d - n + 1 before any digit is expanded.
+    i_0 = d - n + 1 before any digit is expanded.  expand_digits alone
+    refuses when they do not fit, naming a job precision at which they do.
     """
     n = target.valuation()
     d = different_over(floor, n)
     need = d - n + 3 + floor.p ** vp(n, floor.p) * cmax
-    expansion_room(floor, n, need)
     series = expand_digits(target, max(first_horizon, need))
     profile = inseparability_profile(series, floor.p_valuation())
     if profile.i[0] != d - n + 1:

@@ -61,7 +61,14 @@ def fstar(F, floor) -> EpsilonSeries:
     if target.valuation() != n:
         raise PrecisionExhausted("series does not carry valuation %d" % n)
     unit_inv = target.udiv(n).unit_inverse()
-    cs = [(c * unit_inv).udiv(n) for c in w.coeffs[1:]]
+    cs = []
+    for i, c in enumerate(w.coeffs[1:], start=1):
+        try:
+            cs.append((c * unit_inv).udiv(n))
+        except PrecisionExhausted:
+            raise PrecisionExhausted(
+                "the eps^%d coefficient is not certifiably divisible by pi^%d "
+                "at ground precision %d" % (i, n, floor.ground.prec)) from None
     return EpsilonSeries(floor, n, cs)
 
 
@@ -83,7 +90,9 @@ def valuation_function(es: EpsilonSeries, norm=VL, max_degree=None) -> PLFunctio
             continue
         lines.append(Line(Fraction(v, es.n) if norm == VK else v, i))
     if not lines:
-        raise PrecisionExhausted("no coefficient valuation certifiable")
+        raise PrecisionExhausted(
+            "no coefficient valuation certifiable up to eps-degree %d at "
+            "ground precision %d" % (top, es.floor.ground.prec))
     env = PLFunction(lines)
     for bound, i in pending:
         a = Fraction(bound, es.n) if norm == VK else bound

@@ -325,6 +325,23 @@ def _from_ground(floor, gs):
                                 for k in range(0, len(gs), w)])
 
 
+def carries_ground_precision(floor, elements) -> bool:
+    """Whether the elements and the Eisenstein coefficients from ``floor``
+    down carry the ground precision: then dividing by pi spends at most one
+    ground digit, and a product loses none below the ceiling."""
+    scalars = list(elements)
+    while floor.base is not None:
+        scalars.extend(floor.poly.coeffs)
+        floor = floor.base
+    return all(_full_precision(x) for x in scalars)
+
+
+def _full_precision(x) -> bool:
+    if isinstance(x, BaseScalar):
+        return x.exact_zero or x.prec >= x.field.prec
+    return all(_full_precision(c) for c in x.coords)
+
+
 def different_exponent(floor):
     """Valuation of E'(pi) on the given floor, E its Eisenstein polynomial."""
     n = floor.degree

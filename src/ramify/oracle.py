@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 
-from .base import INFINITY, BaseScalar, vp
+from .base import INFINITY, vp
 from .errors import PrecisionExhausted, TheoremViolation
+from .extension import carries_ground_precision
 # bench/spans.py counts DualElement's ring operations through this module
 from .series import (  # noqa: F401
     DualElement, DualRing, Series, evaluate, evaluate_at_pi)
@@ -111,26 +112,6 @@ def capital_phi(F, floor, c, j, flavor=FULL, u=1) -> int:
         d += 1
 
 
-def _full_precision(x) -> bool:
-    """Whether every ground coordinate of x is tracked to the ground's precision."""
-    if isinstance(x, BaseScalar):
-        return x.exact_zero or x.prec >= x.field.prec
-    return all(_full_precision(c) for c in x.coords)
-
-
-def _tracked_to_ceiling(F, floor) -> bool:
-    """Whether F's coefficients and every Eisenstein polynomial below floor
-    carry full precision, so that no probe loses a digit below the ceiling.
-
-    The Teichmuller lifts of a digit series always do.
-    """
-    scalars = list(F.coeffs)
-    while floor.base is not None:
-        scalars.extend(floor.poly.coeffs)
-        floor = floor.base
-    return all(_full_precision(x) for x in scalars)
-
-
 def phi_grid(F, floor, cmax):
     """capital_phi(F, floor, c, j) for j <= nu and c <= cmax, as grid[j][c].
 
@@ -147,7 +128,7 @@ def phi_grid(F, floor, cmax):
     """
     p, n = floor.p, F.offset
     nu = vp(n, p)
-    if not _tracked_to_ceiling(F, floor):
+    if not carries_ground_precision(floor, F.coeffs):
         return [[capital_phi(F, floor, c, j) for c in range(cmax + 1)]
                 for j in range(nu + 1)]
     w = _field_probe(F, floor)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .base import RingElement, _convolve, _ground_matvec, digit_expand_base
-from .extension import _from_ground
+from .extension import _from_ground, carries_ground_precision
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
@@ -144,18 +144,23 @@ def expand_digits(target, horizon):
     """Digit series of an element whose valuation is the ramification index.
 
     ``target`` is the embedded image of the base uniformizer in an upper
-    floor; its exact valuation becomes the offset.
+    floor; its exact valuation n becomes the offset.  Too few tracked
+    digits raise PrecisionExhausted.  When the target carries the ground
+    precision, each division by pi spends at most one ground digit, so
+    the message names job precision n + horizon, from which they fit.
     """
     if horizon < 1:
         raise ValueError("the digit horizon must be at least 1, got %d" % horizon)
     n = target.valuation()
-    unit = target.udiv(n)
-    digits = digit_expand_base(unit, horizon)
+    digits = digit_expand_base(target, n + horizon)[n:]
     ground = target.floor.ground
     if len(digits) < horizon:
+        enough = ("; they fit from job precision %d on" % (n + horizon)
+                  if carries_ground_precision(target.floor, [target]) else "")
         raise PrecisionExhausted(
-            "the digit expansion ran dry: %d of %d digits past offset %d "
-            "at ground precision %d" % (len(digits), horizon, n, ground.prec))
+            "the digit expansion ran dry: %d of %d digits past offset %d at "
+            "ground precision %d%s" % (len(digits), horizon, n, ground.prec,
+                                       enough))
     return Series(n, [ground.teichmuller(d) for d in digits])
 
 
@@ -247,6 +252,12 @@ def _scalar_root(c0, e, ground):
     raise PrecisionExhausted("e-th root did not converge")
 
 
+def check_tame_degree(e, p, n):
+    """Refuse an e-th root of the uniformizer unless gcd(e, p*n) = 1."""
+    if math.gcd(e, p * n) != 1:
+        raise BadTameDegree("e = %d shares a factor with p*n = %d" % (e, p * n))
+
+
 def eth_root_substitute(series, e: int) -> Series:
     """The series T with T(X)^e = S(X^e), for gcd(e, p*n) = 1.
 
@@ -257,8 +268,7 @@ def eth_root_substitute(series, e: int) -> Series:
     n = series.offset
     ground = series.ground
     p = ground.p
-    if math.gcd(e, p * n) != 1:
-        raise BadTameDegree("e = %d shares a factor with p*n = %d" % (e, p * n))
+    check_tame_degree(e, p, n)
     g = [ground.zero()] * (e * (series.horizon - 1) + 1)
     g[::e] = series.coeffs
     t0 = _scalar_root(g[0], e, ground)

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .base import INFINITY, vp
-from .errors import (
-    NotEisenstein,
-    NotSeparable,
-    PrecisionExhausted,
-    TheoremViolation,
-)
+from .errors import NotEisenstein, NotSeparable, TheoremViolation
 from .extension import (
     EisensteinFloor,
     EisensteinPoly,
@@ -37,6 +32,7 @@ from .invariants import InsepProfile, inseparability_profile, phi
 from .plfun import Line, PLFunction
 from .series import (
     Series,
+    check_tame_degree,
     compose_series,
     eth_root_substitute,
     evaluate_at_pi,
@@ -113,11 +109,12 @@ class TameLift:
     base_series: object
 
 
-def default_horizon(d_exp, offset, wild, p_val, room):
-    """Digit horizon H = d - n + 2 + v_p(n) v(p), clamped to the room.
+def default_horizon(d_exp, offset, wild, p_val, room=INFINITY):
+    """Digit horizon H = max(d - n + 2 + v_p(n) v(p), 2).
 
     For d the different exponent and n the offset, i_0 = d - n + 1 >= i_j
-    for every j, so H certifies every index unless the room clamps it.
+    for every j, so H certifies every index.  A caller that passes a
+    ``room`` gets H clamped to it; no routine of the package does.
     """
     if d_exp == INFINITY:
         raise NotSeparable(
@@ -127,25 +124,7 @@ def default_horizon(d_exp, offset, wild, p_val, room):
     h = d_exp - offset + 2
     if p_val != INFINITY:
         h += wild * p_val
-    h = max(h, 2)
-    return min(h, room)
-
-
-def expansion_room(top, offset, need=1):
-    """Digits an expansion of valuation ``offset`` may track on ``top``.
-
-    The room is the ceiling less the offset and four guard digits.  When
-    fewer than ``need`` digits fit, PrecisionExhausted names the smallest
-    job precision at which they would.
-    """
-    room = top.ceiling - offset - 4
-    if room < need:
-        enough = -(-(need + offset + 4) // top.absolute_degree)
-        raise PrecisionExhausted(
-            "%d digit(s) needed past offset %d, %d fit below the ceiling "
-            "%d; they fit from job precision %d on"
-            % (need, offset, max(room, 0), top.ceiling, enough))
-    return room
+    return min(max(h, 2), room)
 
 
 def different_over(top, offset):
@@ -163,13 +142,10 @@ def different_over(top, offset):
 
 
 def expansion_horizon(top, base):
-    """Digit horizon for expanding pi_base on the floor ``top``."""
+    """Digit horizon for pi_base on ``top``, whatever the precision."""
     offset = top.absolute_degree // base.absolute_degree
-    d = different_over(top, offset)
-    # an inseparable step is refused as bad input whatever the precision
-    room = 0 if d == INFINITY else expansion_room(top, offset)
-    return default_horizon(d, offset, vp(offset, top.p), top.p_valuation(),
-                           room)
+    return default_horizon(different_over(top, offset), offset,
+                           vp(offset, top.p), top.p_valuation())
 
 
 def expand_profile(top, base, horizon=None):
@@ -322,6 +298,8 @@ def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:
     is the original's scaled by e.
     """
     base = floor.base
+    # bad input outranks a precision shortfall
+    check_tame_degree(e, floor.p, floor.degree)
     if horizon is None:
         horizon = expansion_horizon(floor, base)
     series = expand_digits(floor.embed(base.uniformizer()), horizon)

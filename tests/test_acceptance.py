@@ -205,14 +205,12 @@ def _build_fuzz_tower(rng):
     except (IndexUnresolved, PrecisionExhausted):
         M = attach_eisenstein(L, E2)
         lower = 2 * default_horizon(
-            different_exponent(L), n, vp(n, p), L.p_valuation(),
-            L.ceiling - n - 4)
+            different_exponent(L), n, vp(n, p), L.p_valuation())
         upper = 2 * default_horizon(
-            different_exponent(M), m, vp(m, p), M.p_valuation(),
-            M.ceiling - m - 4)
+            different_exponent(M), m, vp(m, p), M.p_valuation())
         comp = 2 * default_horizon(
             different_exponent(M) + m * different_exponent(L), n * m,
-            vp(n * m, p), M.p_valuation(), M.ceiling - n * m - 4)
+            vp(n * m, p), M.p_valuation())
         return compose_tower(E1, E2, H=comp, lower_horizon=lower,
                              upper_horizon=upper)
 

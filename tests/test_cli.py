@@ -12,7 +12,7 @@ from ramify import cli, tower
 from ramify.cli import main
 from ramify.invariants import inseparability_profile
 from ramify.series import expand_digits
-from ramify.tower import expansion_horizon, expansion_room
+from ramify.tower import expansion_horizon
 from test_acceptance import fuzz_towers
 
 F2_QUADRATIC = {
@@ -275,21 +275,32 @@ def test_non_integer_job_numbers_rejected(tmp_path, capsys, key, value):
     ["oracle", "--j", "0", "--c", "1"],
 ])
 def test_no_digit_fits_exits_3(tmp_path, capsys, argv):
+    # H = 2 digits past offset 2 fit from precision 4 on; the oracle's probe
+    # at c = 1 needs 5, which fit from 7 on
+    enough = 7 if argv[0] == "oracle" else 4
     job = _write(tmp_path, dict(F2_QUADRATIC, precision=3))
     assert main([argv[0], job] + argv[1:]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "from job precision 4 on" in err
+    assert err.startswith("error: ")
+    assert err.endswith("; they fit from job precision %d on\n" % enough)
+    if argv[0] == "oracle":
+        # 7 is also the first precision at which the probe answers
+        for precision, code in ((enough - 1, 3), (enough, 0)):
+            job = _write(tmp_path, dict(F2_QUADRATIC, precision=precision))
+            assert main([argv[0], job] + argv[1:]) == code
 
 
 def test_dry_expansion_names_digits_and_precision(tmp_path, capsys):
-    # the room check passes at precision 20, but M/K expands only 16 digits
+    # M/K needs 29 digits past offset 4; at precision 20 it expands 16, and
+    # each division by pi spends at most one ground digit, so 4 + 29 suffice
     job = _write(tmp_path, dict(TOWER, precision=20))
     assert main(["verify", job, "--cmax", "6"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: the digit expansion ran dry: 16 of 29 digits past "
-                   "offset 4 at ground precision 20\n")
+                   "offset 4 at ground precision 20; they fit from job "
+                   "precision 33 on\n")
 
 
 _STEP = F2_QUADRATIC["steps"][0]
@@ -442,6 +453,27 @@ def test_answers_do_not_depend_on_precision(tmp_path, capsys, job):
                 assert err.startswith("error: ")
 
 
+F3_SQRT = dict(F3_CUBIC, steps=[
+    {"name": "L", "base": "K", "coeffs": [[[-1, 1]], []]},
+])
+
+
+@pytest.mark.parametrize("precision, argv", [
+    (3, ["invariants"]),
+    (4, ["oracle", "--j", "0", "--c", "3"]),
+    (4, ["verify", "--cmax", "4"]),
+], ids=["invariants", "oracle", "verify"])
+def test_sparse_job_answers_at_low_precision(tmp_path, capsys, precision,
+                                              argv):
+    # X^2 - t over F_3((t)): a division by pi moves one coordinate down
+    # whole and divides the other by t, so each coordinate spends a ground
+    # digit every other step and these jobs answer below the n + H bound
+    code, want = _run(capsys, [argv[0], _write(tmp_path, F3_SQRT)] + argv[1:])
+    assert code == 0
+    low = _write(tmp_path, dict(F3_SQRT, precision=precision))
+    assert _run(capsys, [argv[0], low] + argv[1:]) == (0, want)
+
+
 def test_each_digit_series_is_expanded_once(tmp_path, monkeypatch):
     calls = []
 
@@ -483,7 +515,6 @@ def two_step_sweeps(top, base, cmaxes):
     for cmax in cmaxes:
         series, profile = first, first_profile
         need = profile.i[0] + top.p ** profile.nu * cmax + 2
-        expansion_room(top, series.offset, need)
         if need > series.horizon:
             series = expand_digits(target, need)
             profile = inseparability_profile(series, top.p_valuation())

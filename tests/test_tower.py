@@ -21,6 +21,7 @@ from ramify.tower import (
     compose_tower,
     corollary_report,
     default_horizon,
+    expand_profile,
     expansion_horizon,
     ge_report,
     lambda_l,
@@ -223,21 +224,24 @@ def test_every_horizon_is_an_expansion_horizon(mode):
     n, m = L.degree, M.degree
     assert expansion_horizon(M, K) == default_horizon(
         different_exponent(M) + m * different_exponent(L), n * m,
-        vp(n * m, 2), M.p_valuation(), M.ceiling - n * m - 4)
+        vp(n * m, 2), M.p_valuation())
 
 
 def test_expansion_horizon_refuses_when_no_digit_fits():
-    # X^2 + tX + t: at precision 3 the ceiling 6 leaves no room past
-    # offset 2 and the four guard digits; precision 4 leaves two digits
+    # X^2 + tX + t: the horizon is H = 2 at every precision, and the
+    # expansion refuses when its 2 digits past offset 2 do not fit: at
+    # precision 3, naming 4, from which they do
     def floor(prec):
         K = GroundField.equal_char(2, prec)
         t = K.uniformizer()
         return K, attach_eisenstein(K, EisensteinPoly([t, t]))
 
     K, L = floor(3)
-    with pytest.raises(PrecisionExhausted, match="from job precision 4 on"):
-        expansion_horizon(L, K)
-    with pytest.raises(PrecisionExhausted):
-        tame_lift_tower(L, 3)
-    K, L = floor(4)
     assert expansion_horizon(L, K) == 2
+    for refused in (lambda: expand_profile(L, K), lambda: tame_lift_tower(L, 3)):
+        with pytest.raises(PrecisionExhausted,
+                           match="they fit from job precision 4 on$"):
+            refused()
+    K, L = floor(4)
+    series, profile = expand_profile(L, K)
+    assert series.horizon == 2 and profile.i == (1, 0)
