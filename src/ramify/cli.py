@@ -31,13 +31,12 @@ from .base import INFINITY, GroundField, vp
 from .copolygon import VK, VL, fstar, truncated_psi, valuation_function
 from .errors import (
     BadTameDegree,
-    IndexUnresolved,
     NotAUnit,
     NotDivisible,
     NotEisenstein,
     NotOneUnit,
     NotSeparable,
-    PrecisionExhausted,
+    PrecisionRefusal,
     TheoremViolation,
 )
 from .extension import EisensteinPoly, attach_eisenstein
@@ -47,6 +46,7 @@ from .series import evaluate_at_pi, expand_digits
 from .tower import (
     compose_tower,
     different_over,
+    expand_all,
     expand_profile,
     expansion_horizon,
     ge_report,
@@ -287,10 +287,10 @@ def cmd_tame(job, args):
     floor = job["floors"][pick_field(job, args.field)]
     lift = tame_lift_tower(floor, args.e)
     target = evaluate_at_pi(lift.series, lift.floor)
-    expanded = expand_digits(target, lift.series.horizon)
+    expanded = expand_digits(target, lift.series.horizon, 1)
     profile = inseparability_profile(expanded, lift.floor.p_valuation())
-    base = inseparability_profile(lift.base_series, floor.p_valuation())
-    scaled = [args.e * v if v != INFINITY else None for v in base.i]
+    scaled = [args.e * v if v != INFINITY else None
+              for v in lift.base_profile.i]
     return {
         "e": args.e,
         "i": [ser(v) for v in profile.i],
@@ -325,19 +325,17 @@ def cmd_tower(job, args):
 
 def cmd_verify(job, args):
     nonnegative("--cmax", args.cmax)
-    fields, ok = {}, True
-    for name in job["order"]:
-        floor = job["floors"][name]
-        series, profile = swept_profile(floor, floor.base, args.cmax)
-        rows, good = oracle_grid(floor, series, profile, args.cmax)
-        fields[name] = {"ok": good, "rows": rows}
-        ok = ok and good
-    if len(job["order"]) >= 2:
+    floors, names = job["floors"], list(job["order"])
+    sweeps = [(floors[name], floors[name].base, args.cmax) for name in names]
+    if len(names) >= 2:
         # composed chain: expand the ground uniformizer on the top floor
-        top = job["floors"][job["order"][-1]]
-        series, profile = swept_profile(top, job["ground"], args.cmax)
+        names.append(names[-1] + "/K")
+        sweeps.append((sweeps[-1][0], job["ground"], args.cmax))
+    fields, ok = {}, True
+    swept = expand_all(swept_profile, sweeps)
+    for name, (top, _, _), (series, profile) in zip(names, sweeps, swept):
         rows, good = oracle_grid(top, series, profile, args.cmax)
-        fields["/".join([job["order"][-1], "K"])] = {"ok": good, "rows": rows}
+        fields[name] = {"ok": good, "rows": rows}
         ok = ok and good
     return {"cmax": args.cmax, "fields": fields, "ok": ok}
 
@@ -346,8 +344,9 @@ def sweep_ready(floor, target, first_horizon, cmax):
     """Expand target once, deep enough that every probe in the sweep resolves.
 
     The sweep reads i_0 + p^nu * cmax + 2 digits, and the different gives
-    i_0 = d - n + 1 before any digit is expanded.  expand_digits alone
-    refuses when they do not fit, naming a job precision at which they do.
+    i_0 = d - n + 1 before any digit is expanded.  When they are not all
+    tracked, the expansion refuses, naming a job precision from which
+    they are.
     """
     n = target.valuation()
     d = different_over(floor, n)
@@ -475,7 +474,7 @@ def main(argv=None) -> int:
     except OSError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    except (PrecisionExhausted, IndexUnresolved) as ex:
+    except PrecisionRefusal as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 3
     except (TheoremViolation, AssertionError) as ex:

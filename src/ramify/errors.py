@@ -2,10 +2,10 @@
 
 Everything raised on purpose derives from RamifyError, so callers can
 distinguish "the input was bad" (NotEisenstein, BadTameDegree, ...) from
-"the working precision cannot decide this" (PrecisionExhausted,
-IndexUnresolved) and from "a proved inequality failed" (TheoremViolation,
-which always indicates a bug or a genuine counterexample and is never
-swallowed).
+"the working precision cannot decide this" (PrecisionRefusal, that is
+PrecisionExhausted and IndexUnresolved) and from "a proved inequality
+failed" (TheoremViolation, which always indicates a bug or a genuine
+counterexample and is never swallowed).
 """
 
 
@@ -37,7 +37,23 @@ class NotSeparable(RamifyError):
     """The defining polynomial has vanishing derivative at its root."""
 
 
-class PrecisionExhausted(RamifyError):
+class PrecisionRefusal(RamifyError):
+    """The working precision cannot decide the requested quantity.
+
+    The message names ``enough``, when set: a job precision from which
+    the digits the computation asked for are tracked.
+    """
+
+    enough = None
+
+    def __str__(self):
+        if self.enough is None:
+            return super().__str__()
+        return "%s; they fit from job precision %d on" % (
+            super().__str__(), self.enough)
+
+
+class PrecisionExhausted(PrecisionRefusal):
     """The tracked digits cannot certify the requested quantity.
 
     ``bound`` is the best certified lower bound on the valuation in
@@ -49,7 +65,7 @@ class PrecisionExhausted(RamifyError):
         self.bound = bound
 
 
-class IndexUnresolved(RamifyError):
+class IndexUnresolved(PrecisionRefusal):
     """A ramification index is not determined by the digits within the horizon.
 
     ``j`` names the offending index when known.

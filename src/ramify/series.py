@@ -140,28 +140,37 @@ class DualElement(RingElement):
         return "DualElement(%r)" % (list(self.coeffs),)
 
 
-def expand_digits(target, horizon):
+def expand_digits(target, horizon, need=None):
     """Digit series of an element whose valuation is the ramification index.
 
     ``target`` is the embedded image of the base uniformizer in an upper
-    floor; its exact valuation n becomes the offset.  Too few tracked
-    digits raise PrecisionExhausted.  When the target carries the ground
-    precision, each division by pi spends at most one ground digit, so
-    the message names job precision n + horizon, from which they fit.
+    floor; its exact valuation n becomes the offset.  The series holds
+    the first ``horizon`` digits, or as many as are tracked; fewer than
+    ``need`` (all of them when omitted) raise PrecisionExhausted, naming
+    fits_from(target, horizon).
     """
     if horizon < 1:
         raise ValueError("the digit horizon must be at least 1, got %d" % horizon)
     n = target.valuation()
     digits = digit_expand_base(target, n + horizon)[n:]
     ground = target.floor.ground
-    if len(digits) < horizon:
-        enough = ("; they fit from job precision %d on" % (n + horizon)
-                  if carries_ground_precision(target.floor, [target]) else "")
-        raise PrecisionExhausted(
+    if len(digits) < (need or horizon):
+        exc = PrecisionExhausted(
             "the digit expansion ran dry: %d of %d digits past offset %d at "
-            "ground precision %d%s" % (len(digits), horizon, n, ground.prec,
-                                       enough))
+            "ground precision %d" % (len(digits), horizon, n, ground.prec))
+        exc.enough = fits_from(target, horizon)
+        raise exc
     return Series(n, [ground.teichmuller(d) for d in digits])
+
+
+def fits_from(target, horizon):
+    """Job precision from which ``horizon`` digits of target are tracked:
+    n + horizon, n its valuation, when the target and every Eisenstein
+    coefficient below carry the ground precision, for then each division
+    by pi spends at most one ground digit; otherwise None."""
+    if carries_ground_precision(target.floor, [target]):
+        return target.valuation() + horizon
+    return None
 
 
 def evaluate(series, x):

@@ -17,11 +17,13 @@ one-sided claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .base import INFINITY, vp
-from .errors import NotEisenstein, NotSeparable, TheoremViolation
+from .errors import (NotEisenstein, NotSeparable, PrecisionRefusal,
+                     TheoremViolation)
 from .extension import (
     EisensteinFloor,
     EisensteinPoly,
@@ -37,6 +39,7 @@ from .series import (
     eth_root_substitute,
     evaluate_at_pi,
     expand_digits,
+    fits_from,
     normalize_leading_digit,
 )
 
@@ -107,6 +110,7 @@ class TameLift:
     series: object
     e: int
     base_series: object
+    base_profile: InsepProfile
 
 
 def default_horizon(d_exp, offset, wild, p_val, room=INFINITY):
@@ -149,11 +153,41 @@ def expansion_horizon(top, base):
 
 
 def expand_profile(top, base, horizon=None):
-    """The digit series of pi_base on ``top`` and the profile read off it."""
+    """The digit series of pi_base on ``top`` and the profile read off it.
+
+    The series holds up to ``horizon`` digits, as many as are tracked,
+    and the horizon check in invariants.indices certifies the profile.
+    An index it cannot certify on a series cut short names the job
+    precision from which the whole horizon fits.
+    """
     if horizon is None:
         horizon = expansion_horizon(top, base)
-    series = expand_digits(top.embed(base.uniformizer()), horizon)
-    return series, inseparability_profile(series, top.p_valuation())
+    target = top.embed(base.uniformizer())
+    series = expand_digits(target, horizon, 1)
+    try:
+        return series, inseparability_profile(series, top.p_valuation())
+    except PrecisionRefusal as exc:  # an index the digits leave open
+        if series.horizon < horizon:
+            exc.enough = fits_from(target, horizon)
+        raise
+
+
+def expand_all(expand, jobs):
+    """[expand(*job) for job in jobs], run to the end when some refuse.
+
+    Of the refusals it raises one that names no job precision, else the
+    one that names the largest, from which every job's digits fit.
+    """
+    out, refused = [], []
+    for job in jobs:
+        try:
+            out.append(expand(*job))
+        except PrecisionRefusal as exc:
+            refused.append(exc)
+    if refused:
+        raise max(refused, key=lambda exc:
+                  math.inf if exc.enough is None else exc.enough)
+    return out
 
 
 def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
@@ -179,9 +213,9 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
         )
     ground = L.base
     M = attach_eisenstein(L, E2)
-    lower_series, lower = expand_profile(L, ground, lower_horizon)
-    upper_series, upper = expand_profile(M, L, upper_horizon)
-    composed_series, composed = expand_profile(M, ground, H)
+    (lower_series, lower), (upper_series, upper), (composed_series, composed) \
+        = expand_all(expand_profile, [(L, ground, lower_horizon),
+                                      (M, L, upper_horizon), (M, ground, H)])
 
     _check_formal_composite(M, lower_series, upper_series, composed_series)
 
@@ -300,11 +334,9 @@ def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:
     base = floor.base
     # bad input outranks a precision shortfall
     check_tame_degree(e, floor.p, floor.degree)
-    if horizon is None:
-        horizon = expansion_horizon(floor, base)
-    series = expand_digits(floor.embed(base.uniformizer()), horizon)
+    series, profile = expand_profile(floor, base, horizon)
     lifted = eth_root_substitute(normalize_leading_digit(series), e)
     pi = floor.uniformizer()
     coeffs = [-pi] + [floor.zero()] * (e - 1)
     floor_e = attach_eisenstein(floor, EisensteinPoly(coeffs))
-    return TameLift(floor_e, lifted, e, series)
+    return TameLift(floor_e, lifted, e, series, profile)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -459,6 +460,49 @@ F3_SQRT = dict(F3_CUBIC, steps=[
 
 
 @pytest.mark.parametrize("precision, argv", [
+    (4, ["tame", "--field", "L", "--e", "5"]),
+    (4, ["invariants", "--field", "L"]),
+    (4, ["phi", "--field", "L", "--j", "1", "--at", "7/2"]),
+    (2, ["invariants", "--field", "M"]),
+    (2, ["tame", "--field", "M", "--e", "3"]),
+], ids=["tame_L", "invariants_L", "phi_L", "invariants_M", "tame_M"])
+def test_profile_answers_from_the_digits_it_tracks(tmp_path, capsys,
+                                                    precision, argv):
+    # the README tower over Q_2 tracks fewer digits than the horizon H asks
+    # at these precisions, but enough for the index check to certify every
+    # index, so the profile answers as at precision 64
+    code, want = _run(capsys, [argv[0], _write(tmp_path, README_MIXED)]
+                      + argv[1:])
+    assert code == 0
+    low = _write(tmp_path, dict(README_MIXED, precision=precision))
+    assert _run(capsys, [argv[0], low] + argv[1:]) == (0, want)
+
+
+@pytest.mark.parametrize("job", [TOWER, README_MIXED], ids=["equal", "mixed"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cmax", "6"], ["verify", "--cmax", "2"], ["tower", "--l", "1"],
+], ids=["verify6", "verify2", "tower"])
+def test_job_refusal_names_a_precision_that_answers(tmp_path, capsys, job,
+                                                     argv):
+    # verify and tower expand several series; the refusal they report
+    # names the precision from which every series of the job fits, not
+    # only the first that runs short, so the rerun there answers
+    answered = set()
+    for precision in range(3, 8):
+        low = _write(tmp_path, dict(job, precision=precision))
+        assert main([argv[0], low] + argv[1:]) == 3
+        out, err = capsys.readouterr()
+        named = re.search(r"; they fit from job precision (\d+) on\n$", err)
+        assert out == "" and named, (precision, err)
+        enough = int(named.group(1))
+        if enough not in answered:
+            high = _write(tmp_path, dict(job, precision=enough))
+            assert main([argv[0], high] + argv[1:]) == 0, (precision, enough)
+            capsys.readouterr()
+            answered.add(enough)
+
+
+@pytest.mark.parametrize("precision, argv", [
     (3, ["invariants"]),
     (4, ["oracle", "--j", "0", "--c", "3"]),
     (4, ["verify", "--cmax", "4"]),
@@ -477,9 +521,9 @@ def test_sparse_job_answers_at_low_precision(tmp_path, capsys, precision,
 def test_each_digit_series_is_expanded_once(tmp_path, monkeypatch):
     calls = []
 
-    def spy(target, horizon):
+    def spy(target, horizon, *need):
         calls.append((target.floor.absolute_degree, target.valuation()))
-        return expand_digits(target, horizon)
+        return expand_digits(target, horizon, *need)
 
     monkeypatch.setattr(cli, "expand_digits", spy)
     monkeypatch.setattr(tower, "expand_digits", spy)

@@ -10,7 +10,7 @@ from ramify.errors import (
     BadTameDegree,
     NotEisenstein,
     NotSeparable,
-    PrecisionExhausted,
+    PrecisionRefusal,
 )
 from ramify.extension import EisensteinPoly, attach_eisenstein, different_exponent
 from ramify.invariants import inseparability_profile, phi
@@ -228,9 +228,9 @@ def test_every_horizon_is_an_expansion_horizon(mode):
 
 
 def test_expansion_horizon_refuses_when_no_digit_fits():
-    # X^2 + tX + t: the horizon is H = 2 at every precision, and the
-    # expansion refuses when its 2 digits past offset 2 do not fit: at
-    # precision 3, naming 4, from which they do
+    # X^2 + tX + t: the horizon is H = 2 at every precision.  At precision
+    # 3 one digit past offset 2 is tracked, too few to certify i_0 = 1, and
+    # the index check refuses, naming 4, from which both digits fit
     def floor(prec):
         K = GroundField.equal_char(2, prec)
         t = K.uniformizer()
@@ -239,7 +239,7 @@ def test_expansion_horizon_refuses_when_no_digit_fits():
     K, L = floor(3)
     assert expansion_horizon(L, K) == 2
     for refused in (lambda: expand_profile(L, K), lambda: tame_lift_tower(L, 3)):
-        with pytest.raises(PrecisionExhausted,
+        with pytest.raises(PrecisionRefusal,
                            match="they fit from job precision 4 on$"):
             refused()
     K, L = floor(4)
