@@ -42,7 +42,7 @@ from .errors import (
 from .extension import EisensteinPoly, attach_eisenstein
 from .invariants import inseparability_profile, phi
 from .oracle import FULL, REDUCED, capital_phi, phi_grid
-from .series import evaluate_at_pi, expand_digits
+from .series import evaluate_at_pi, expand_digits, fits_from
 from .tower import (
     compose_tower,
     different_over,
@@ -332,7 +332,7 @@ def cmd_verify(job, args):
         names.append(names[-1] + "/K")
         sweeps.append((sweeps[-1][0], job["ground"], args.cmax))
     fields, ok = {}, True
-    swept = expand_all(swept_profile, sweeps)
+    swept = expand_all(swept_profile, sweep_fits_from, sweeps)
     for name, (top, _, _), (series, profile) in zip(names, sweeps, swept):
         rows, good = oracle_grid(top, series, profile, args.cmax)
         fields[name] = {"ok": good, "rows": rows}
@@ -350,14 +350,27 @@ def sweep_ready(floor, target, first_horizon, cmax):
     """
     n = target.valuation()
     d = different_over(floor, n)
-    need = d - n + 3 + floor.p ** vp(n, floor.p) * cmax
-    series = expand_digits(target, max(first_horizon, need))
+    series = expand_digits(target, max(first_horizon,
+                                       sweep_need(floor, n, cmax)))
     profile = inseparability_profile(series, floor.p_valuation())
     if profile.i[0] != d - n + 1:
         raise TheoremViolation(
             "i_0 = %s read off the digits, but the different exponent d = %s "
             "gives d - n + 1 = %s" % (profile.i[0], d, d - n + 1))
     return series, profile
+
+
+def sweep_need(floor, n, cmax):
+    """Digits past offset n that a sweep to cmax reads."""
+    return different_over(floor, n) - n + 3 + floor.p ** vp(n, floor.p) * cmax
+
+
+def sweep_fits_from(top, base, cmax):
+    """The job precision that a refusal of swept_profile(top, base, cmax)
+    names, found before any digit is expanded."""
+    target = top.embed(base.uniformizer())
+    return fits_from(target, max(expansion_horizon(top, base),
+                                 sweep_need(top, target.valuation(), cmax)))
 
 
 def oracle_grid(floor, series, profile, cmax):

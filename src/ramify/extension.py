@@ -62,7 +62,7 @@ class EisensteinFloor:
     """One totally ramified step: base[pi] / E(pi) = 0."""
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
-                 "absolute_degree", "_c0_unit_inv", "_pi_rows")
+                 "absolute_degree", "_c0_unit_inv", "_pi_rows", "_different")
 
     def __init__(self, base, poly):
         self.base = base
@@ -71,7 +71,7 @@ class EisensteinFloor:
         self.p, self.mode, self.ground = base.p, base.mode, base.ground
         self.ceiling = self.degree * base.ceiling
         self.absolute_degree = self.degree * base.absolute_degree
-        self._c0_unit_inv = self._pi_rows = None
+        self._c0_unit_inv = self._pi_rows = self._different = None
 
     # -- floor protocol ------------------------------------------------
 
@@ -343,12 +343,17 @@ def _full_precision(x) -> bool:
 
 
 def different_exponent(floor):
-    """Valuation of E'(pi) on the given floor, E its Eisenstein polynomial."""
-    n = floor.degree
-    cs = floor.poly.coeffs
-    base = floor.base
-    coords = [base.zero()] * n
-    for i in range(1, n):
-        coords[i - 1] = cs[i] * i
-    coords[n - 1] = coords[n - 1] + base.from_int(n)
-    return FloorElement(floor, coords).valuation()
+    """Valuation of E'(pi) on the given floor, E its Eisenstein polynomial.
+
+    Computed once per floor.
+    """
+    if floor._different is None:
+        n = floor.degree
+        cs = floor.poly.coeffs
+        base = floor.base
+        coords = [base.zero()] * n
+        for i in range(1, n):
+            coords[i - 1] = cs[i] * i
+        coords[n - 1] = coords[n - 1] + base.from_int(n)
+        floor._different = FloorElement(floor, coords).valuation()
+    return floor._different

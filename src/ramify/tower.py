@@ -172,21 +172,27 @@ def expand_profile(top, base, horizon=None):
         raise
 
 
-def expand_all(expand, jobs):
-    """[expand(*job) for job in jobs], run to the end when some refuse.
+def profile_fits_from(top, base, horizon=None):
+    """The job precision that a refusal of expand_profile(top, base,
+    horizon) names, found before any digit is expanded."""
+    if horizon is None:
+        horizon = expansion_horizon(top, base)
+    return fits_from(top.embed(base.uniformizer()), horizon)
 
-    Of the refusals it raises one that names no job precision, else the
-    one that names the largest, from which every job's digits fit.
+
+def expand_all(expand, fits, jobs):
+    """[expand(*job) for job in jobs], or the refusal that names the job
+    precision from which every job's digits fit.
+
+    ``fits(*job)`` is the precision a refusal of that job names, None
+    when it names none.  The jobs run from the largest down, None first,
+    so the first refusal names the largest and no job after it runs.
     """
-    out, refused = [], []
-    for job in jobs:
-        try:
-            out.append(expand(*job))
-        except PrecisionRefusal as exc:
-            refused.append(exc)
-    if refused:
-        raise max(refused, key=lambda exc:
-                  math.inf if exc.enough is None else exc.enough)
+    named = [fits(*job) for job in jobs]
+    out = [None] * len(jobs)
+    for k in sorted(range(len(jobs)), key=lambda k:
+                    -math.inf if named[k] is None else -named[k]):
+        out[k] = expand(*jobs[k])
     return out
 
 
@@ -214,8 +220,9 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
     ground = L.base
     M = attach_eisenstein(L, E2)
     (lower_series, lower), (upper_series, upper), (composed_series, composed) \
-        = expand_all(expand_profile, [(L, ground, lower_horizon),
-                                      (M, L, upper_horizon), (M, ground, H)])
+        = expand_all(expand_profile, profile_fits_from,
+                     [(L, ground, lower_horizon), (M, L, upper_horizon),
+                      (M, ground, H)])
 
     _check_formal_composite(M, lower_series, upper_series, composed_series)
 
