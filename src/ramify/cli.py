@@ -27,8 +27,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .base import INFINITY, GroundField, vp
-from .copolygon import VK, VL, fstar, truncated_psi, valuation_function
+from .base import INFINITY, GroundField
+from .copolygon import VK, VL, truncated_psi, valuation_function
 from .errors import (
     BadTameDegree,
     NotAUnit,
@@ -40,17 +40,18 @@ from .errors import (
     TheoremViolation,
 )
 from .extension import EisensteinPoly, attach_eisenstein
-from .invariants import inseparability_profile, phi
+from .invariants import phi
 from .oracle import FULL, REDUCED, capital_phi, phi_grid
-from .series import evaluate_at_pi, expand_digits, fits_from
+from .series import evaluate_at_pi
 from .tower import (
     compose_tower,
-    different_over,
     expand_all,
     expand_profile,
     expansion_horizon,
     ge_report,
     lambda_l,
+    perturbation,
+    read_profile,
     tame_lift_tower,
 )
 
@@ -161,12 +162,6 @@ def pick_field(job, name):
     return name
 
 
-def swept_profile(top, base, cmax):
-    """The series of pi_base on top, deep enough for a sweep to cmax."""
-    return sweep_ready(top, top.embed(base.uniformizer()),
-                       expansion_horizon(top, base), cmax)
-
-
 def fraction_arg(text):
     try:
         return Fraction(text)
@@ -243,17 +238,16 @@ def cmd_phi(job, args):
 
 def cmd_copolygon(job, args):
     floor = job["floors"][pick_field(job, args.field)]
-    series, profile = expand_profile(floor, floor.base)
-    es = fstar(series, floor)
     norm = VK if args.norm == "vK" else VL
-    if norm == VK:
-        fun = valuation_function(es, VK)
-    elif args.j is not None:
-        if not 0 <= args.j <= profile.nu:
-            raise ValueError("j must lie in [0, %d]" % profile.nu)
-        fun = truncated_psi(es, args.j)
-    else:
-        fun = valuation_function(es, VL)
+    with perturbation(floor, floor.base) as (es, profile):
+        if norm == VK:
+            fun = valuation_function(es, VK)
+        elif args.j is not None:
+            if not 0 <= args.j <= profile.nu:
+                raise ValueError("j must lie in [0, %d]" % profile.nu)
+            fun = truncated_psi(es, args.j)
+        else:
+            fun = valuation_function(es, VL)
     out = {"function": fun.as_dict(), "norm": args.norm,
            "j": args.j if norm == VL else None}
     if args.emit_plot_data:
@@ -264,7 +258,7 @@ def cmd_copolygon(job, args):
 def cmd_oracle(job, args):
     nonnegative("--c", args.c)
     floor = job["floors"][pick_field(job, args.field)]
-    series, profile = swept_profile(floor, floor.base, args.c)
+    series, profile = expand_profile(floor, floor.base, cmax=args.c)
     if not 0 <= args.j <= profile.nu:
         raise ValueError("j must lie in [0, %d]" % profile.nu)
     flavor = REDUCED if args.flavor == "reduced" else FULL
@@ -286,9 +280,8 @@ def cmd_tame(job, args):
         raise ValueError("--e must be positive, got %d" % args.e)
     floor = job["floors"][pick_field(job, args.field)]
     lift = tame_lift_tower(floor, args.e)
-    target = evaluate_at_pi(lift.series, lift.floor)
-    expanded = expand_digits(target, lift.series.horizon, 1)
-    profile = inseparability_profile(expanded, lift.floor.p_valuation())
+    _, profile = read_profile(evaluate_at_pi(lift.series, lift.floor),
+                              lift.series.horizon)
     scaled = [args.e * v if v != INFINITY else None
               for v in lift.base_profile.i]
     return {
@@ -326,14 +319,15 @@ def cmd_tower(job, args):
 def cmd_verify(job, args):
     nonnegative("--cmax", args.cmax)
     floors, names = job["floors"], list(job["order"])
-    sweeps = [(floors[name], floors[name].base, args.cmax) for name in names]
+    sweeps = [(floors[name], floors[name].base, None, args.cmax)
+              for name in names]
     if len(names) >= 2:
         # composed chain: expand the ground uniformizer on the top floor
         names.append(names[-1] + "/K")
-        sweeps.append((sweeps[-1][0], job["ground"], args.cmax))
+        sweeps.append((sweeps[-1][0], job["ground"], None, args.cmax))
     fields, ok = {}, True
-    swept = expand_all(swept_profile, sweep_fits_from, sweeps)
-    for name, (top, _, _), (series, profile) in zip(names, sweeps, swept):
+    swept = expand_all(sweeps)
+    for name, (top, *_), (series, profile) in zip(names, sweeps, swept):
         rows, good = oracle_grid(top, series, profile, args.cmax)
         fields[name] = {"ok": good, "rows": rows}
         ok = ok and good
@@ -341,36 +335,12 @@ def cmd_verify(job, args):
 
 
 def sweep_ready(floor, target, first_horizon, cmax):
-    """Expand target once, deep enough that every probe in the sweep resolves.
-
-    The sweep reads i_0 + p^nu * cmax + 2 digits, and the different gives
-    i_0 = d - n + 1 before any digit is expanded.  When they are not all
-    tracked, the expansion refuses, naming a job precision from which
-    they are.
-    """
-    n = target.valuation()
-    d = different_over(floor, n)
-    series = expand_digits(target, max(first_horizon,
-                                       sweep_need(floor, n, cmax)))
-    profile = inseparability_profile(series, floor.p_valuation())
-    if profile.i[0] != d - n + 1:
-        raise TheoremViolation(
-            "i_0 = %s read off the digits, but the different exponent d = %s "
-            "gives d - n + 1 = %s" % (profile.i[0], d, d - n + 1))
-    return series, profile
-
-
-def sweep_need(floor, n, cmax):
-    """Digits past offset n that a sweep to cmax reads."""
-    return different_over(floor, n) - n + 3 + floor.p ** vp(n, floor.p) * cmax
-
-
-def sweep_fits_from(top, base, cmax):
-    """The job precision that a refusal of swept_profile(top, base, cmax)
-    names, found before any digit is expanded."""
-    target = top.embed(base.uniformizer())
-    return fits_from(target, max(expansion_horizon(top, base),
-                                 sweep_need(top, target.valuation(), cmax)))
+    """expand_profile(floor, base, first_horizon, cmax), for target the
+    uniformizer of base embedded in floor: the form bench/probes.py calls."""
+    base = floor
+    while floor.absolute_degree // base.absolute_degree < target.valuation():
+        base = base.base
+    return expand_profile(floor, base, first_horizon, cmax)
 
 
 def oracle_grid(floor, series, profile, cmax):

@@ -41,7 +41,7 @@ class PrecisionRefusal(RamifyError):
     """The working precision cannot decide the requested quantity.
 
     The message names ``enough``, when set: a job precision from which
-    the digits the computation asked for are tracked.
+    the digits the job spends are tracked (ramify.tower sets it).
     """
 
     enough = None

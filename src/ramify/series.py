@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .base import RingElement, _convolve, _ground_matvec, digit_expand_base
-from .extension import _from_ground, carries_ground_precision
+from .extension import _from_ground
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
@@ -146,8 +146,7 @@ def expand_digits(target, horizon, need=None):
     ``target`` is the embedded image of the base uniformizer in an upper
     floor; its exact valuation n becomes the offset.  The series holds
     the first ``horizon`` digits, or as many as are tracked; fewer than
-    ``need`` (all of them when omitted) raise PrecisionExhausted, naming
-    fits_from(target, horizon).
+    ``need`` (all of them when omitted) raise PrecisionExhausted.
     """
     if horizon < 1:
         raise ValueError("the digit horizon must be at least 1, got %d" % horizon)
@@ -155,22 +154,10 @@ def expand_digits(target, horizon, need=None):
     digits = digit_expand_base(target, n + horizon)[n:]
     ground = target.floor.ground
     if len(digits) < (need or horizon):
-        exc = PrecisionExhausted(
+        raise PrecisionExhausted(
             "the digit expansion ran dry: %d of %d digits past offset %d at "
             "ground precision %d" % (len(digits), horizon, n, ground.prec))
-        exc.enough = fits_from(target, horizon)
-        raise exc
     return Series(n, [ground.teichmuller(d) for d in digits])
-
-
-def fits_from(target, horizon):
-    """Job precision from which ``horizon`` digits of target are tracked:
-    n + horizon, n its valuation, when the target and every Eisenstein
-    coefficient below carry the ground precision, for then each division
-    by pi spends at most one ground digit; otherwise None."""
-    if carries_ground_precision(target.floor, [target]):
-        return target.valuation() + horizon
-    return None
 
 
 def evaluate(series, x):

@@ -18,16 +18,19 @@ one-sided claim.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .base import INFINITY, vp
 from .errors import (NotEisenstein, NotSeparable, PrecisionRefusal,
                      TheoremViolation)
+from .copolygon import fstar
 from .extension import (
     EisensteinFloor,
     EisensteinPoly,
     attach_eisenstein,
+    carries_ground_precision,
     different_exponent,
 )
 from .invariants import InsepProfile, inseparability_profile, phi
@@ -39,7 +42,6 @@ from .series import (
     eth_root_substitute,
     evaluate_at_pi,
     expand_digits,
-    fits_from,
     normalize_leading_digit,
 )
 
@@ -152,47 +154,111 @@ def expansion_horizon(top, base):
                            vp(offset, top.p), top.p_valuation())
 
 
-def expand_profile(top, base, horizon=None):
-    """The digit series of pi_base on ``top`` and the profile read off it.
+def digits_asked(top, base, horizon=None, cmax=None):
+    """(target, digits): pi_base on ``top``, of valuation n, and the digits
+    past n that expand_profile(top, base, horizon, cmax) reads.
 
-    The series holds up to ``horizon`` digits, as many as are tracked,
-    and the horizon check in invariants.indices certifies the profile.
-    An index it cannot certify on a series cut short names the job
-    precision from which the whole horizon fits.
+    A profile reads up to the horizon H.  A sweep to cmax reads every one
+    of max(H, d - n + 3 + p^nu * cmax): a probe at c reads
+    i_0 + p^nu * c + 2 digits, and the different gives i_0 = d - n + 1.
     """
-    if horizon is None:
-        horizon = expansion_horizon(top, base)
-    target = top.embed(base.uniformizer())
-    series = expand_digits(target, horizon, 1)
+    n = top.absolute_degree // base.absolute_degree
+    digits = expansion_horizon(top, base) if horizon is None else horizon
+    if cmax is not None:
+        digits = max(digits, different_over(top, n) - n + 3
+                     + top.p ** vp(n, top.p) * cmax)
+    return top.embed(base.uniformizer()), digits
+
+
+def fits_from(target, digits):
+    """Job precision from which ``digits`` ground digits past the valuation
+    n of target can be spent: n + digits when the target and every
+    Eisenstein coefficient below carry the ground precision, for then each
+    division by pi spends at most one ground digit; otherwise None."""
+    if carries_ground_precision(target.floor, [target]):
+        return target.valuation() + digits
+    return None
+
+
+@contextmanager
+def _naming(target, digits):
+    # the one place a refusal learns the job precision it names
     try:
-        return series, inseparability_profile(series, top.p_valuation())
-    except PrecisionRefusal as exc:  # an index the digits leave open
-        if series.horizon < horizon:
-            exc.enough = fits_from(target, horizon)
+        yield
+    except PrecisionRefusal as exc:
+        if digits is not None:
+            exc.enough = fits_from(target, digits)
         raise
 
 
-def profile_fits_from(top, base, horizon=None):
-    """The job precision that a refusal of expand_profile(top, base,
-    horizon) names, found before any digit is expanded."""
-    if horizon is None:
-        horizon = expansion_horizon(top, base)
-    return fits_from(top.embed(base.uniformizer()), horizon)
+def read_profile(target, digits, need=1):
+    """Up to ``digits`` digits of target, at least ``need``, and their profile.
 
-
-def expand_all(expand, fits, jobs):
-    """[expand(*job) for job in jobs], or the refusal that names the job
-    precision from which every job's digits fit.
-
-    ``fits(*job)`` is the precision a refusal of that job names, None
-    when it names none.  The jobs run from the largest down, None first,
-    so the first refusal names the largest and no job after it runs.
+    The horizon check in invariants.indices certifies the profile.  A
+    refusal names the job precision from which every digit asked is
+    tracked, when the expansion runs dry and when the digits it got leave
+    an index open; an index open on every digit asked names none.
     """
-    named = [fits(*job) for job in jobs]
+    with _naming(target, digits):
+        series = expand_digits(target, digits, need)
+    with _naming(target, digits if series.horizon < digits else None):
+        return series, inseparability_profile(series,
+                                              target.floor.p_valuation())
+
+
+def expand_profile(top, base, horizon=None, cmax=None):
+    """The digit series of pi_base on ``top`` and the profile read off it.
+
+    Without ``cmax`` the series holds up to the horizon's digits, as many
+    as are tracked.  With it, it holds every digit a sweep to cmax reads,
+    and the i_0 the digits give must be the different's d - n + 1 (exit 4
+    otherwise).  digits_asked counts the digits either way.
+    """
+    target, digits = digits_asked(top, base, horizon, cmax)
+    if cmax is None:
+        return read_profile(target, digits)
+    series, profile = read_profile(target, digits, digits)
+    n = series.offset
+    d = different_over(top, n)
+    if profile.i[0] != d - n + 1:
+        raise TheoremViolation(
+            "i_0 = %s read off the digits, but the different exponent d = %s "
+            "gives d - n + 1 = %s" % (profile.i[0], d, d - n + 1))
+    return series, profile
+
+
+@contextmanager
+def perturbation(top, base):
+    """fstar of the series of expand_profile(top, base), and the profile.
+
+    The series spends n + H ground digits.  fstar divides the unit part
+    of F(pi), and then each eps-coefficient, by pi^n, which spends 2n,
+    and reads the quotients to valuation H, ceil(H / N) more on a floor
+    of absolute degree N.  A refusal in the block names the job precision
+    from which both fit.
+    """
+    target, digits = digits_asked(top, base)
+    n = top.absolute_degree // base.absolute_degree
+    with _naming(target, max(digits,
+                             n + math.ceil(digits / top.absolute_degree))):
+        series, profile = expand_profile(top, base)
+        yield fstar(series, top), profile
+
+
+def expand_all(jobs):
+    """[expand_profile(*job) for job in jobs], or the refusal that names
+    the job precision from which every job's digits fit.
+
+    Each job is (top, base, horizon, cmax), and the precision its refusal
+    names is known before any digit is expanded.  The jobs run from the
+    largest down, those naming none first, so the first refusal names the
+    largest and no job after it runs.
+    """
+    named = [fits_from(*digits_asked(*job)) for job in jobs]
     out = [None] * len(jobs)
     for k in sorted(range(len(jobs)), key=lambda k:
                     -math.inf if named[k] is None else -named[k]):
-        out[k] = expand(*jobs[k])
+        out[k] = expand_profile(*jobs[k])
     return out
 
 
@@ -220,9 +286,8 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
     ground = L.base
     M = attach_eisenstein(L, E2)
     (lower_series, lower), (upper_series, upper), (composed_series, composed) \
-        = expand_all(expand_profile, profile_fits_from,
-                     [(L, ground, lower_horizon), (M, L, upper_horizon),
-                      (M, ground, H)])
+        = expand_all([(L, ground, lower_horizon, None),
+                      (M, L, upper_horizon, None), (M, ground, H, None)])
 
     _check_formal_composite(M, lower_series, upper_series, composed_series)
 

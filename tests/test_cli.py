@@ -277,16 +277,18 @@ def test_non_integer_job_numbers_rejected(tmp_path, capsys, key, value):
 ])
 def test_no_digit_fits_exits_3(tmp_path, capsys, argv):
     # H = 2 digits past offset 2 fit from precision 4 on; the oracle's probe
-    # at c = 1 needs 5, which fit from 7 on
-    enough = 7 if argv[0] == "oracle" else 4
+    # at c = 1 needs 5, which fit from 7 on; copolygon's divisions by pi^2
+    # spend 4 ground digits and reading its quotients to valuation H one
+    # more, so 5
+    enough = {"oracle": 7, "copolygon": 5}.get(argv[0], 4)
     job = _write(tmp_path, dict(F2_QUADRATIC, precision=3))
     assert main([argv[0], job] + argv[1:]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith("; they fit from job precision %d on\n" % enough)
-    if argv[0] == "oracle":
-        # 7 is also the first precision at which the probe answers
+    if argv[0] in ("oracle", "copolygon"):
+        # it is also the first precision at which the command answers
         for precision, code in ((enough - 1, 3), (enough, 0)):
             job = _write(tmp_path, dict(F2_QUADRATIC, precision=precision))
             assert main([argv[0], job] + argv[1:]) == code
@@ -525,7 +527,6 @@ def test_each_digit_series_is_expanded_once(tmp_path, monkeypatch):
         calls.append((target.floor.absolute_degree, target.valuation()))
         return expand_digits(target, horizon, *need)
 
-    monkeypatch.setattr(cli, "expand_digits", spy)
     monkeypatch.setattr(tower, "expand_digits", spy)
     job = _write(tmp_path, TOWER)
     assert main(["verify", job, "--cmax", "6"]) == 0
@@ -539,8 +540,8 @@ def test_each_digit_series_is_expanded_once(tmp_path, monkeypatch):
 
 def test_sweep_refuses_an_i0_the_different_does_not_give(tmp_path, capsys,
                                                           monkeypatch):
-    different_over = cli.different_over
-    monkeypatch.setattr(cli, "different_over",
+    different_over = tower.different_over
+    monkeypatch.setattr(tower, "different_over",
                         lambda top, offset: different_over(top, offset) + 1)
     job = _write(tmp_path, TOWER)
     assert main(["verify", job, "--cmax", "2"]) == 4
@@ -578,7 +579,7 @@ def _sweep_fields():
 def test_sweep_ready_matches_the_two_step_reference():
     for top, base in _sweep_fields():
         for cmax, want, want_profile in two_step_sweeps(top, base, range(7)):
-            got, got_profile = cli.swept_profile(top, base, cmax)
+            got, got_profile = tower.expand_profile(top, base, cmax=cmax)
             assert got.offset == want.offset
             assert [c.residue() for c in got.coeffs] == \
                 [c.residue() for c in want.coeffs]

@@ -1,11 +1,16 @@
-"""Property: a sweep answers as at precision 64, or names a precision that does.
+"""Property: each reading of a digit series answers as at precision 64,
+or refuses and names a precision at which it does.
 
 Random Eisenstein steps of degree 1-3 over F_p((t)) and Q_p, p in {2, 3},
 flat over the ground or nested over a random lower step, with dense or
 sparse coefficients.  Every digit sits below t^3 (or p^3), so each job
-precision from 3 up decodes the same polynomials, at full precision.  At
-precisions 3-12, cli.swept_profile either returns the profile it returns
-at 64, or refuses and names a job precision at which it returns it.
+precision from 3 up decodes the same polynomials, at full precision.  The
+readings are a sweep (tower.expand_profile with cmax 0 or 2, the profile
+of oracle and verify), a profile (expand_profile without cmax, its
+indices, as invariants and phi read them) and the copolygon (the
+valuation function of tower.perturbation's series).  At precisions 3-12
+each either gives what it gives at 64, or names a job precision at which
+it does.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramify.base import GroundField
-from ramify.cli import swept_profile
-from ramify.errors import NotSeparable, PrecisionExhausted
+from ramify.copolygon import valuation_function
+from ramify.errors import NotSeparable, PrecisionRefusal
 from ramify.extension import EisensteinPoly, attach_eisenstein
+from ramify.tower import expand_profile, perturbation
 
 
 def _ground_element(K, digits):
@@ -94,12 +100,25 @@ def _pairs(floors):
     return out
 
 
-def _answer(tower, precision, pair, cmax):
-    """The swept profile, or the job precision the refusal names."""
+def _sweep(top, base, cmax):
+    return expand_profile(top, base, cmax=cmax)[1]
+
+
+def _indices(top, base):
+    return expand_profile(top, base)[1].i
+
+
+def _copolygon(top, base):
+    with perturbation(top, base) as (es, _):
+        return valuation_function(es)
+
+
+def _answer(tower, precision, pair, read):
+    """What read(top, base) gives, or the job precision its refusal names."""
     top, base = _pairs(_floors(tower, precision))[pair]
     try:
-        return swept_profile(top, base, cmax)[1]
-    except PrecisionExhausted as exc:
+        return read(top, base)
+    except PrecisionRefusal as exc:
         named = re.search(r"they fit from job precision (\d+) on$", str(exc))
         assert named, (precision, str(exc))
         enough = int(named.group(1))
@@ -107,26 +126,42 @@ def _answer(tower, precision, pair, cmax):
         return enough
 
 
-def _answered(tower, precision, pair, cmax):
-    """The swept profile at precision, or at the precision it names."""
-    got = _answer(tower, precision, pair, cmax)
+def _answered(tower, precision, pair, read):
+    """What read gives at precision, or at the precision it names."""
+    got = _answer(tower, precision, pair, read)
     if isinstance(got, int):
-        got = _answer(tower, got, pair, cmax)
+        got = _answer(tower, got, pair, read)
         assert not isinstance(got, int), (precision, got)
     return got
+
+
+def _check(tower, read):
+    outcomes = []
+    for pair in range(len(tower[2]) * 2 - 1):
+        try:
+            want = _answered(tower, 64, pair, read)
+        except NotSeparable:
+            continue
+        for precision in range(3, 13):
+            assert _answered(tower, precision, pair, read) == want, \
+                (pair, precision)
+        outcomes.append(pair)
+    assume(outcomes)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(towers(), st.sampled_from([0, 2]))
 def test_sweep_answers_or_names_a_precision_that_does(tower, cmax):
-    outcomes = []
-    for pair in range(len(tower[2]) * 2 - 1):
-        try:
-            want = _answered(tower, 64, pair, cmax)
-        except NotSeparable:
-            continue
-        for precision in range(3, 13):
-            assert _answered(tower, precision, pair, cmax) == want, \
-                (pair, precision)
-        outcomes.append(pair)
-    assume(outcomes)
+    _check(tower, lambda top, base: _sweep(top, base, cmax))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(towers())
+def test_profile_answers_or_names_a_precision_that_does(tower):
+    _check(tower, _indices)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(towers())
+def test_copolygon_answers_or_names_a_precision_that_does(tower):
+    _check(tower, _copolygon)

@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ramify.base import GroundField
-from ramify.cli import swept_profile
 from ramify.errors import IndexUnresolved, NotSeparable, PrecisionExhausted
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.invariants import phi
 from ramify.oracle import capital_phi, phi_grid
 from ramify.series import Series
+from ramify.tower import expand_profile
 
 from conftest import assert_grid_is_direct, short_scalar
 
@@ -51,7 +51,7 @@ def eisenstein_floors(draw):
 @given(eisenstein_floors())
 def test_grid_equals_direct_probe_and_formula(floor):
     try:
-        series, profile = swept_profile(floor, floor.base, CMAX)
+        series, profile = expand_profile(floor, floor.base, cmax=CMAX)
     except (NotSeparable, IndexUnresolved, PrecisionExhausted):
         assume(False)
     grid = phi_grid(series, floor, CMAX)
@@ -67,7 +67,7 @@ def test_grid_equals_direct_probe_and_formula(floor):
 @given(eisenstein_floors(), st.integers(1, 8))
 def test_grid_equals_direct_probe_on_short_coefficients(floor, digits):
     try:
-        series, profile = swept_profile(floor, floor.base, CMAX)
+        series, profile = expand_profile(floor, floor.base, cmax=CMAX)
     except (NotSeparable, IndexUnresolved, PrecisionExhausted):
         assume(False)
     short = Series(series.offset, [short_scalar(c, digits)
