@@ -25,7 +25,7 @@ from .tower import (
     compose_tower,
     ge_report,
     lambda_l,
-    tame_lift_tower,
+    tame_profile,
 )
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
     "compose_tower",
     "ge_report",
     "lambda_l",
-    "tame_lift_tower",
+    "tame_profile",
 ]
 
 __version__ = "0.1.0"

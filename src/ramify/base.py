@@ -107,17 +107,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _convolve(a, b, out_len, zero, fold=()):
-    """Schoolbook product of two coefficient sequences, cut at ``out_len``.
+def _convolve(a, b, out_len, zero):
+    """Schoolbook product of two coefficient sequences, cut at ``out_len``:
+    the product of two dual-ring elements.
 
-    With ``fold`` = (c_0, ..., c_{n-1}) the product is also reduced mod
-    X^n + c_{n-1} X^{n-1} + ... + c_0 to n coordinates.  Only exact zeros
-    are skipped: a coefficient that is merely zero to precision still
-    carries its precision into every term it touches.  Ground scalars
-    take the raw-integer kernel, _ground_product.
+    Only exact zeros are skipped: a coefficient that is merely zero to
+    precision still carries its precision into every term it touches.
+    Ground scalars take the raw-integer kernel, _ground_product.
     """
     if type(zero) is BaseScalar:
-        return _ground_product(a, b, out_len, zero, fold)
+        return _ground_product(a, b, out_len, zero)
     buf = [zero] * out_len
     for i, ai in enumerate(a[:out_len]):
         if ai.exact_zero:
@@ -126,24 +125,16 @@ def _convolve(a, b, out_len, zero, fold=()):
             if bj.exact_zero:
                 continue
             buf[i + j] = buf[i + j] + ai * bj
-    if not fold:
-        return buf
-    n = len(fold)
-    for k in range(out_len - 1, n - 1, -1):
-        top = buf[k]
-        if top.exact_zero:
-            continue
-        # X^k = -X^(k-n) * sum c_i X^i
-        for i, c in enumerate(fold):
-            buf[k - n + i] = buf[k - n + i] - top * c
-    return buf[:n]
+    return buf
 
 
 def _ground_product(a, b, out_len, zero, fold=()):
     """_convolve of two sequences of ground scalars, on their raw integers.
 
-    Each coordinate k >= n of the product, from the top down, is folded
-    as X^k = -X^(k-n) sum c_i X^i.  The result is the one BaseScalar
+    With ``fold`` = (c_0, ..., c_{n-1}) the product is also reduced mod
+    X^n + c_{n-1} X^{n-1} + ... + c_0 to n coordinates: each coordinate
+    k >= n, from the top down, is folded as X^k = -X^(k-n) sum c_i X^i,
+    the product of a flat floor.  The result is the one BaseScalar
     arithmetic gives term by term: every product of two scalars that are
     not exact zeros, convolution and fold terms alike, sets its output's
     precision to at most min(prec_a, prec_b), and an output with no term

@@ -39,10 +39,9 @@ from .errors import (
     PrecisionRefusal,
     TheoremViolation,
 )
-from .extension import EisensteinPoly, attach_eisenstein
+from .extension import EisensteinPoly, FloorElement, attach_eisenstein
 from .invariants import phi
 from .oracle import FULL, REDUCED, capital_phi, phi_grid
-from .series import evaluate_at_pi
 from .tower import (
     compose_tower,
     expand_all,
@@ -51,8 +50,7 @@ from .tower import (
     ge_report,
     lambda_l,
     perturbation,
-    read_profile,
-    tame_lift_tower,
+    tame_profile,
 )
 
 VALIDATION_ERRORS = (
@@ -89,11 +87,9 @@ def decode_element(floor, data):
         return out
     if len(data) > floor.degree:
         raise ValueError("too many coordinates for degree %d" % floor.degree)
-    out = floor.zero()
-    pi = floor.uniformizer()
-    for i, coord in enumerate(data):
-        out = out + floor.embed(decode_element(floor.base, coord)) * pi ** i
-    return out
+    parts = [decode_element(floor.base, coord) for coord in data]
+    return FloorElement(floor, parts + [floor.base.zero()]
+                        * (floor.degree - len(parts)))
 
 
 def _field(obj, key, where):
@@ -279,9 +275,7 @@ def cmd_tame(job, args):
     if args.e < 1:
         raise ValueError("--e must be positive, got %d" % args.e)
     floor = job["floors"][pick_field(job, args.field)]
-    lift = tame_lift_tower(floor, args.e)
-    _, profile = read_profile(evaluate_at_pi(lift.series, lift.floor),
-                              lift.series.horizon)
+    lift, profile = tame_profile(floor, args.e)
     scaled = [args.e * v if v != INFINITY else None
               for v in lift.base_profile.i]
     return {

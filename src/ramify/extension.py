@@ -1,21 +1,24 @@
 """Totally ramified extension floors built from Eisenstein polynomials.
 
 A tower ring is either a GroundField or an EisensteinFloor over another
-tower ring.  Elements of a floor of degree n are coordinate vectors
-(x_0, ..., x_{n-1}) over the base, representing sum x_i pi^i where pi is
-the distinguished root of the attached Eisenstein polynomial
-E(X) = X^n + c_{n-1} X^{n-1} + ... + c_0.
+tower ring.  An element sum x_i pi^i of a floor of degree n, x_i in the
+base and pi the root of its Eisenstein polynomial E(X) = X^n +
+c_{n-1} X^{n-1} + ... + c_0, is stored as its N ground scalars, N the
+floor's absolute degree: ground coordinate r = i*w + s, w the base's
+absolute degree, is the coefficient of b_r = pi^i b_s, b_s the base's
+ground basis element s.
 
-Valuations are normalized so v(pi) = 1 on each floor.  Because the
-coordinate terms x_i pi^i have pairwise distinct valuations mod n, the
-valuation of an element is the exact minimum of i + n*v_base(x_i); no
-cancellation between coordinates is possible, which keeps valuation
-queries certifiable even at finite precision.
+With v(pi) = 1 on each floor, b_r has weight v(b_r) = i + n*v_base(b_s)
+and a ground scalar x valuation N*v_ground(x).  The weights are distinct
+mod N, so the valuation of an element is the exact minimum of
+v(b_r) + N*v_ground(x_r): no cancellation between coordinates is
+possible, which keeps valuation queries certifiable at finite precision.
 """
 
 from __future__ import annotations
 
-from .base import INFINITY, BaseScalar, RingElement, _convolve, _ground_matvec
+from .base import (INFINITY, BaseScalar, RingElement, _ground_matvec,
+                   _ground_product, _new_object)
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -62,15 +65,18 @@ class EisensteinFloor:
     """One totally ramified step: base[pi] / E(pi) = 0."""
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
-                 "absolute_degree", "_c0_unit_inv", "_pi_rows", "_different")
+                 "absolute_degree", "weights", "_c0_unit_inv", "_pi_rows",
+                 "_different")
 
     def __init__(self, base, poly):
         self.base = base
         self.poly = poly
-        self.degree = poly.degree
+        self.degree = n = poly.degree
         self.p, self.mode, self.ground = base.p, base.mode, base.ground
-        self.ceiling = self.degree * base.ceiling
-        self.absolute_degree = self.degree * base.absolute_degree
+        self.ceiling = n * base.ceiling
+        self.absolute_degree = n * base.absolute_degree
+        below = (0,) if base.base is None else base.weights
+        self.weights = tuple(i + n * v for i in range(n) for v in below)
         self._c0_unit_inv = self._pi_rows = self._different = None
 
     # -- floor protocol ------------------------------------------------
@@ -79,8 +85,7 @@ class EisensteinFloor:
         return self.degree * self.base.p_valuation()
 
     def zero(self):
-        z = self.base.zero()
-        return FloorElement(self, (z,) * self.degree)
+        return _element(self, (self.ground.zero(),) * self.absolute_degree)
 
     def one(self):
         return self.embed(self.base.one())
@@ -91,21 +96,24 @@ class EisensteinFloor:
     def uniformizer(self):
         if self.degree == 1:
             return self.embed(-self.poly.coeffs[0])
-        z = self.base.zero()
-        coords = (z, self.base.one()) + (z,) * (self.degree - 2)
-        return FloorElement(self, coords)
+        coords = [self.ground.zero()] * self.absolute_degree
+        coords[self.base.absolute_degree] = self.ground.one()
+        return _element(self, coords)
 
     def teichmuller(self, r):
         return self.embed(self.ground.teichmuller(r))
 
     def embed(self, x):
-        """Embed an element of any lower floor (or this one) into this floor."""
-        if getattr(x, "floor", None) is self:
-            return x
-        if x.floor is not self.base:
-            x = self.base.embed(x)
-        z = self.base.zero()
-        return FloorElement(self, (x,) + (z,) * (self.degree - 1))
+        """Embed an element of any lower floor (or this one) into this floor:
+        its ground coordinates, padded with exact zeros."""
+        below = self
+        while below is not getattr(x, "floor", None):
+            below = below.base
+            if below is None:
+                raise TypeError("cannot embed %r into %r" % (x, self))
+        gs = _ground(x)
+        return x if below is self else _element(
+            self, gs + (self.ground.zero(),) * (self.absolute_degree - len(gs)))
 
     def residue_inverse(self, r):
         return self.ground.residue_inverse(r)
@@ -120,16 +128,14 @@ class EisensteinFloor:
 
         Row k lists (j, data, prec) for each ground coordinate k of
         e_j * w that is not an exact zero, e_j the j-th ground basis
-        element and the product the floor's own.  A product x * w is
-        linear in x's ground coordinates, so it forms exactly the terms
-        x_j times an entry: base._ground_matvec over these rows gives its
-        data, precisions and exact-zero flags.
+        element.  x * w is linear in x's ground coordinates, so
+        base._ground_matvec over these rows gives its data, precisions
+        and exact-zero flags.
         """
         size = self.absolute_degree
         one, zero = self.ground.one(), self.ground.zero()
-        cols = [_ground_coords(_from_ground(
-            self, [one if i == j else zero for i in range(size)]) * w)
-            for j in range(size)]
+        cols = [(_element(self, [one if i == j else zero for i in range(size)])
+                 * w).coords for j in range(size)]
         return [[(j, col[k].data, col[k].prec) for j, col in enumerate(cols)
                  if not col[k].exact_zero] for k in range(size)]
 
@@ -159,13 +165,17 @@ class EisensteinFloor:
 
 
 class FloorElement(RingElement):
-    """Coordinate vector over the base floor; supports ring ops and udiv."""
+    """A floor element as its N ground scalars ``coords``, lowest first:
+    coords[r] is the coefficient of the ground basis element of weight
+    ``floor.weights[r]`` (see the module docstring).  The constructor
+    takes x_0, ..., x_{n-1} over the base, or the ground scalars.
+    """
 
     __slots__ = ("floor", "coords")
 
-    def __init__(self, floor, coords):
+    def __init__(self, floor, parts):
         self.floor = floor
-        self.coords = tuple(coords)
+        self.coords = tuple(g for x in parts for g in _ground(x))
 
     @property
     def exact_zero(self):
@@ -186,41 +196,46 @@ class FloorElement(RingElement):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return FloorElement(
-            self.floor, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        return _element(self.floor,
+                        [a + b for a, b in zip(self.coords, o.coords)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FloorElement(self.floor, tuple(-a for a in self.coords))
+        return _element(self.floor, [-a for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return FloorElement(self.floor, tuple(c * other for c in self.coords))
+            return _element(self.floor, [c * other for c in self.coords])
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        fl = self.floor
-        return FloorElement(fl, _convolve(
-            self.coords, o.coords, 2 * fl.degree - 1, fl.base.zero(),
-            fl.poly.coeffs))
+        fl, base = self.floor, self.floor.base
+        if base.base is None:
+            return _element(fl, _ground_product(
+                self.coords, o.coords, 2 * fl.degree - 1, fl.ground.zero(),
+                fl.poly.coeffs))
+        # Horner in pi over o's base parts y: acc -> acc * pi + self * y
+        w, size = base.absolute_degree, fl.absolute_degree
+        xs = [_element(base, self.coords[r:r + w]) for r in range(0, size, w)]
+        acc = fl.zero()
+        for r in range(size - w, -1, -w):
+            y, acc = _element(base, o.coords[r:r + w]), acc.times_pi()
+            if not y.exact_zero:
+                acc = acc + _element(fl, [g for x in xs for g in (x * y).coords])
+        return acc
 
     __rmul__ = __mul__
 
     def times_pi(self):
-        """self * pi by shift and fold: the coordinates move up one place
-        and the old top folds back through E, a_(i-1) - top * c_i.
-
-        Data, precisions and exact-zero flags are those of
-        ``self * floor.uniformizer()``, which multiplies every coordinate
-        by one and forms each top * c_i afresh.  Here the floor's cached
-        pi_rows hold both, and one pass over the raw ground integers
-        applies them.
+        """self * pi by shift and fold: the parts move up one place and the
+        old top folds back through E, a_(i-1) - top * c_i.  One pass of the
+        floor's cached pi_rows over the raw ground integers gives the data,
+        precisions and exact-zero flags of ``self * floor.uniformizer()``.
         """
         fl = self.floor
-        return _from_ground(fl, _ground_matvec(
-            [(fl.pi_rows(), _ground_coords(self))], fl.ground.zero()))
+        return _element(fl, _ground_matvec([(fl.pi_rows(), self.coords)],
+                                           fl.ground.zero()))
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -236,29 +251,21 @@ class FloorElement(RingElement):
     def _val_parts(self):
         # exact part: min over coords with certified valuation
         # pending part: min lower bound over coords that are zero to precision
-        n = self.floor.degree
-        best = INFINITY
-        pending = INFINITY
-        for i, x in enumerate(self.coords):
+        size, best, pending = self.floor.absolute_degree, INFINITY, INFINITY
+        for x, w in zip(self.coords, self.floor.weights):
             if x.exact_zero:
                 continue
-            try:
-                cand = i + n * x.valuation()
-            except PrecisionExhausted as e:
-                b = i + n * e.bound
-                if b < pending:
-                    pending = b
-                continue
-            if cand < best:
-                best = cand
+            if x.is_zero_to_precision():
+                pending = min(pending, w + size * x.prec)
+            else:
+                best = min(best, w + size * x.valuation())
         return best, pending
 
     def valuation(self):
         best, pending = self._val_parts()
         if pending < best:
             raise PrecisionExhausted(
-                "valuation known only to be >= %s" % pending, bound=pending
-            )
+                "valuation known only to be >= %s" % pending, bound=pending)
         return best
 
     def has_valuation_at_least(self, k):
@@ -268,8 +275,7 @@ class FloorElement(RingElement):
         if best < k:
             return False
         raise PrecisionExhausted(
-            "valuation known only to be >= %s" % pending, bound=pending
-        )
+            "valuation known only to be >= %s" % pending, bound=pending)
 
     def residue(self):
         return self.coords[0].residue()
@@ -281,15 +287,18 @@ class FloorElement(RingElement):
         return x
 
     def _udiv1(self):
+        # part i moves down to i - 1, plus its share c_i * y_top of the fold
         fl = self.floor
-        n = fl.degree
-        cs = fl.poly.coeffs
-        y_top = -(self.coords[0].udiv(1) * fl.c0_unit_inverse())
-        ys = [None] * n
-        ys[n - 1] = y_top
-        for i in range(1, n):
-            ys[i - 1] = self.coords[i] + cs[i] * y_top
-        return FloorElement(fl, ys)
+        base, cs, xs = fl.base, fl.poly.coeffs, self.coords
+        if base.base is None:
+            y_top = -(xs[0].udiv(1) * fl.c0_unit_inverse())
+            return _element(fl, [x + c * y_top for x, c in zip(xs[1:], cs[1:])]
+                            + [y_top])
+        w = base.absolute_degree
+        y_top = -(_element(base, xs[:w]).udiv(1) * fl.c0_unit_inverse())
+        return _element(fl, [a + b for i in range(1, fl.degree) for a, b in
+                             zip(xs[i * w:], (cs[i] * y_top).coords)]
+                        + list(y_top.coords))
 
     def unit_inverse(self):
         if self.residue() == 0:
@@ -308,21 +317,16 @@ class FloorElement(RingElement):
         return "FloorElement(%r)" % (list(self.coords),)
 
 
-def _ground_coords(x):
-    """The ground coordinates of a floor element, lowest first."""
-    if type(x.coords[0]) is BaseScalar:
-        return x.coords
-    return [g for c in x.coords for g in _ground_coords(c)]
+def _element(floor, coords):
+    """The element of ``floor`` with ground coordinates coords."""
+    x = _new_object(FloorElement)
+    x.floor, x.coords = floor, tuple(coords)
+    return x
 
 
-def _from_ground(floor, gs):
-    """The element of ``floor`` with ground coordinates gs."""
-    base = floor.base
-    if base.base is None:
-        return FloorElement(floor, gs)
-    w = base.absolute_degree
-    return FloorElement(floor, [_from_ground(base, gs[k:k + w])
-                                for k in range(0, len(gs), w)])
+def _ground(x):
+    """The ground coordinates of a ground scalar or a floor element."""
+    return (x,) if type(x) is BaseScalar else x.coords
 
 
 def carries_ground_precision(floor, elements) -> bool:
@@ -333,27 +337,25 @@ def carries_ground_precision(floor, elements) -> bool:
     while floor.base is not None:
         scalars.extend(floor.poly.coeffs)
         floor = floor.base
-    return all(_full_precision(x) for x in scalars)
-
-
-def _full_precision(x) -> bool:
-    if isinstance(x, BaseScalar):
-        return x.exact_zero or x.prec >= x.field.prec
-    return all(_full_precision(c) for c in x.coords)
+    return all(g.exact_zero or g.prec >= g.field.prec
+               for x in scalars for g in _ground(x))
 
 
 def different_exponent(floor):
     """Valuation of E'(pi) on the given floor, E its Eisenstein polynomial.
 
-    Computed once per floor.
+    Computed once per floor; one the ground precision leaves open is
+    refused with the bound it has.
     """
     if floor._different is None:
-        n = floor.degree
-        cs = floor.poly.coeffs
-        base = floor.base
-        coords = [base.zero()] * n
-        for i in range(1, n):
-            coords[i - 1] = cs[i] * i
-        coords[n - 1] = coords[n - 1] + base.from_int(n)
-        floor._different = FloorElement(floor, coords).valuation()
+        n, base = floor.degree, floor.base
+        parts = [c * i for i, c in enumerate(floor.poly.coeffs) if i]
+        derivative = FloorElement(floor, parts + [base.from_int(n)])
+        try:
+            floor._different = derivative.valuation()
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(
+                "the different exponent of the degree-%d step over %r is not "
+                "certified at ground precision %d: it is at least %s"
+                % (n, base, floor.ground.prec, exc.bound), exc.bound) from None
     return floor._different

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .base import RingElement, _convolve, _ground_matvec, digit_expand_base
-from .extension import _from_ground
+from .extension import FloorElement
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
 
@@ -197,11 +197,10 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
                 new = [[zero] * floor.absolute_degree]
             new[0][0] = new[0][0] + c
         acc = new
-    out = [_from_ground(floor, a) for a in acc]
+    out = [FloorElement(floor, a) for a in acc]
     if nil is None:
         return out[0] if out else floor.zero()
-    return DualElement(DualRing(floor, nil),
-                       out + [floor.zero()] * (nil - len(out)))
+    return DualRing(floor, nil).element(out)
 
 
 def normalize_leading_digit(series: Series) -> Series:

@@ -412,3 +412,15 @@ def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:
     coeffs = [-pi] + [floor.zero()] * (e - 1)
     floor_e = attach_eisenstein(floor, EisensteinPoly(coeffs))
     return TameLift(floor_e, lifted, e, series, profile)
+
+
+def tame_profile(floor, e: int):
+    """tame_lift_tower(floor, e) and the profile of its lifted series, which
+    holds every digit it asks for: when the series of floor came back
+    short, a refusal names n + H, from which that one fits."""
+    lift = tame_lift_tower(floor, e)
+    target, digits = digits_asked(floor, floor.base)
+    short = lift.base_series.horizon < digits
+    with _naming(target, digits if short else None):
+        return lift, read_profile(evaluate_at_pi(lift.series, lift.floor),
+                                  lift.series.horizon)[1]

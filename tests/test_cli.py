@@ -480,17 +480,41 @@ def test_profile_answers_from_the_digits_it_tracks(tmp_path, capsys,
     assert _run(capsys, [argv[0], low] + argv[1:]) == (0, want)
 
 
-@pytest.mark.parametrize("job", [TOWER, README_MIXED], ids=["equal", "mixed"])
-@pytest.mark.parametrize("argv", [
-    ["verify", "--cmax", "6"], ["verify", "--cmax", "2"], ["tower", "--l", "1"],
-], ids=["verify6", "verify2", "tower"])
+# X + 6, then Y^2 + 2 over it, over Q_2
+Q2_DEGREE_ONE_BASE = {
+    "p": 2,
+    "mode": "MIXED",
+    "precision": 64,
+    "steps": [
+        {"name": "L", "base": "K", "coeffs": [[[1, 1], [1, 2]]]},
+        {"name": "M", "base": "L", "coeffs": [[[[1, 1]]], [[]]]},
+    ],
+}
+
+REFUSALS = {
+    "%s-%s" % (name, mode): (job, argv, range(3, 8))
+    for mode, job in (("equal", TOWER), ("mixed", README_MIXED))
+    for name, argv in (("verify6", ["verify", "--cmax", "6"]),
+                       ("verify2", ["verify", "--cmax", "2"]),
+                       ("tower", ["tower", "--l", "1"]))
+}
+# the series tame lifts comes back short, though it holds enough digits for
+# its own profile; the index check on the lifted series then refuses
+REFUSALS["tame5-q2_degree_one_base"] = (Q2_DEGREE_ONE_BASE,
+                                        ["tame", "--e", "5"], [2])
+REFUSALS["tame5-q3_cubic"] = (Q3_CUBIC, ["tame", "--e", "5"], [2])
+
+
+@pytest.mark.parametrize("job, argv, precisions", list(REFUSALS.values()),
+                         ids=list(REFUSALS))
 def test_job_refusal_names_a_precision_that_answers(tmp_path, capsys, job,
-                                                     argv):
+                                                     argv, precisions):
     # verify and tower expand several series; the refusal they report
     # names the precision from which every series of the job fits, not
-    # only the first that runs short, so the rerun there answers
+    # only the first that runs short, and tame names the one from which
+    # the series it lifts fits, so the rerun there answers
     answered = set()
-    for precision in range(3, 8):
+    for precision in precisions:
         low = _write(tmp_path, dict(job, precision=precision))
         assert main([argv[0], low] + argv[1:]) == 3
         out, err = capsys.readouterr()
@@ -502,6 +526,34 @@ def test_job_refusal_names_a_precision_that_answers(tmp_path, capsys, job,
             assert main([argv[0], high] + argv[1:]) == 0, (precision, enough)
             capsys.readouterr()
             answered.add(enough)
+
+
+# X^2 + 2t + t^2 over F_3((t)), then Y^3 + t^2 pi_L Y^2 + 2t^2 pi_L Y + pi_L
+F3_TWO_STEP = {
+    "p": 3,
+    "mode": "EQUAL",
+    "precision": 64,
+    "steps": [
+        {"name": "L", "base": "K", "coeffs": [[[2, 1], [1, 2]], []]},
+        {"name": "M", "base": "L",
+         "coeffs": [[[], [[1, 0]]], [[], [[2, 2]]], [[], [[1, 2]]]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["tame", "--e", "5"], ["tower", "--l", "0"],
+    ["verify", "--cmax", "2"], ["oracle", "--j", "0", "--c", "1"],
+], ids=["invariants", "tame", "tower", "verify", "oracle"])
+def test_uncertified_different_exponent_is_named(tmp_path, capsys, argv):
+    # at precision 2 every tracked digit of E'(pi_M) vanishes, so the
+    # different exponent of M/L, which sizes every expansion, is refused
+    low = _write(tmp_path, dict(F3_TWO_STEP, precision=2))
+    assert main([argv[0], low] + argv[1:]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: the different exponent of the degree-3 step over "
+        "F_3((t)) [prec 2][pi] deg 2 is not certified at ground precision "
+        "2: it is at least 15\n"))
 
 
 @pytest.mark.parametrize("precision, argv", [

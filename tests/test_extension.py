@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from ramify.base import INFINITY, GroundField
+from ramify.base import INFINITY, BaseScalar, GroundField
 from ramify.errors import NotEisenstein, PrecisionExhausted
-from ramify.extension import EisensteinPoly, attach_eisenstein, different_exponent
+from ramify.extension import (EisensteinPoly, FloorElement, attach_eisenstein,
+                              different_exponent)
 
 
 def test_attach_rejects_unit_constant_term():
@@ -114,3 +115,24 @@ def test_zero_valuation_semantics(f2_quadratic):
     assert not diff.exact_zero
     with pytest.raises(PrecisionExhausted):
         diff.valuation()
+
+
+def test_valuation_reads_every_ground_coordinate():
+    # X^2 + tX + t over F_2((t)), then Y^2 + pi_L Y + pi_L; x has L-part
+    # x_0 = (0 known to precision 0, 1) and x_1 = 0.  Its term pi_L has
+    # valuation exactly 2 on M, so x has no valuation >= 3, though the
+    # unknown coordinate leaves the valuation itself open.  Reading x_0
+    # as one L-element, which refuses its valuation, left both open.
+    K = GroundField.equal_char(2, 8)
+    t = K.uniformizer()
+    L = attach_eisenstein(K, EisensteinPoly([t, t]))
+    pi = L.uniformizer()
+    M = attach_eisenstein(L, EisensteinPoly([pi, pi]))
+    x0 = FloorElement(L, [BaseScalar(K, 0, 0), K.one()])
+    x = FloorElement(M, [x0, L.zero()])
+    assert M.weights == (0, 2, 1, 3)
+    assert x.has_valuation_at_least(3) is False
+    assert x.has_valuation_at_least(0) is True
+    with pytest.raises(PrecisionExhausted) as exc:
+        x.valuation()
+    assert exc.value.bound == 0

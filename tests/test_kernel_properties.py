@@ -2,8 +2,10 @@
 
 The reference below is the generic route the kernel replaces for ground
 scalars: the schoolbook product and the Eisenstein fold written with
-BaseScalar ``+``, ``-`` and ``*``, one scalar per term.  Both sides must
-agree on the data, the precision and the exact-zero flag of every output.
+BaseScalar ``+``, ``-`` and ``*``, one scalar per term.  On a floor over
+another floor the same route over base-floor parts, down to the ground,
+is the reference for the product by Horner in pi.  Both sides must agree
+on the data, the precision and the exact-zero flag of every output.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import base
 from ramify.base import BaseScalar, GroundField, _is_prime
-from ramify.extension import (
-    EisensteinFloor,
-    EisensteinPoly,
-    FloorElement,
-    attach_eisenstein,
-)
+from ramify.extension import EisensteinFloor, EisensteinPoly, FloorElement
 from ramify.series import DualRing
 
 TOP = 24
@@ -133,23 +129,89 @@ def test_budget_allows_one_product_at_every_largest_precision():
             assert GroundField.equal_char(p, top)._budget >= 1
 
 
-def test_nested_floor_product_folds_generically(monkeypatch):
-    """Only the flat floor's products reach the kernel; the upper floor
-    folds over its FloorElement coordinates."""
-    K = GroundField.mixed_char(3, 12)
-    t = K.uniformizer()
-    L = attach_eisenstein(K, EisensteinPoly([t, t]))
-    pi = L.uniformizer()
-    M = attach_eisenstein(L, EisensteinPoly([pi, pi, pi]))
-    folds = []
-    kernel = base._ground_product
+class Ref:
+    """A floor element as its parts x_0, ..., x_{n-1} over the base, with
+    sums and differences part by part and products by ref_convolve and
+    ref_fold over the base's own Ref products, down to BaseScalar
+    arithmetic on the ground."""
 
-    def spy(a, b, out_len, zero, fold):
-        folds.append(fold)
-        return kernel(a, b, out_len, zero, fold)
+    def __init__(self, floor, parts):
+        self.floor, self.parts = floor, list(parts)
 
-    monkeypatch.setattr(base, "_ground_product", spy)
-    x = M.uniformizer() + M.one()
-    y = x * x
-    assert folds and all(fold is L.poly.coeffs for fold in folds)
-    assert y == x * M.uniformizer() + x
+    @property
+    def exact_zero(self):
+        return all(x.exact_zero for x in self.parts)
+
+    def __add__(self, other):
+        return Ref(self.floor, [a + b for a, b in zip(self.parts, other.parts)])
+
+    def __neg__(self):
+        return Ref(self.floor, [-a for a in self.parts])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        fl = self.floor
+        zero = ref(fl.base, [fl.ground.zero()] * fl.base.absolute_degree)
+        cs = [ref(fl.base, _ground(c)) for c in fl.poly.coeffs]
+        return Ref(fl, ref_fold(ref_convolve(self.parts, other.parts,
+                                             2 * fl.degree - 1, zero), cs))
+
+
+def _ground(x):
+    return [x] if isinstance(x, BaseScalar) else list(x.coords)
+
+
+def ref(floor, gs):
+    """The Ref (or ground scalar) with ground coordinates gs."""
+    if floor.base is None:
+        return gs[0]
+    w = floor.base.absolute_degree
+    return Ref(floor, [ref(floor.base, gs[k:k + w])
+                       for k in range(0, len(gs), w)])
+
+
+def flatten(x):
+    return [x] if isinstance(x, BaseScalar) else [
+        g for part in x.parts for g in flatten(part)]
+
+
+def from_parts(floor, gs):
+    """FloorElement(floor, parts) with the parts built the same way, or the
+    ground scalar."""
+    if floor.base is None:
+        return gs[0]
+    w = floor.base.absolute_degree
+    return FloorElement(floor, [from_parts(floor.base, gs[k:k + w])
+                                for k in range(0, len(gs), w)])
+
+
+@st.composite
+def nested_products(draw):
+    """Two or three floors over F_p((t)) or Q_p, p in {2, 3}, each with an
+    arbitrary monic fold, and two elements of the top one."""
+    K = FIELDS[draw(st.sampled_from(["equal", "mixed"])),
+               draw(st.sampled_from([2, 3]))]
+    def vector(floor):
+        size = floor.absolute_degree
+        return draw(st.lists(scalars(K), min_size=size, max_size=size))
+
+    floor = K
+    for top in draw(st.sampled_from([(3, 2), (2, 2, 2), (3, 1, 2)])):
+        cs = [from_parts(floor, vector(floor))
+              for _ in range(draw(st.integers(1, top)))]
+        floor = EisensteinFloor(floor, EisensteinPoly(cs))
+    return floor, vector(floor), vector(floor)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(nested_products())
+def test_nested_floor_product_matches_the_generic_fold(case):
+    """Horner in pi by shift and fold against the schoolbook product and
+    the top-down Eisenstein fold over base-floor parts."""
+    floor, a, b = case
+    x, y = FloorElement(floor, a), FloorElement(floor, b)
+    assert raw(from_parts(floor, a).coords) == raw(x.coords) == raw(a)
+    want = flatten(ref(floor, a) * ref(floor, b))
+    assert raw((x * y).coords) == raw(want)

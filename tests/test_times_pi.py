@@ -6,7 +6,10 @@ composite check, ``tame``) what the generic ``series.evaluate`` gives at
 the same point.  Both sides are compared on every ground coordinate:
 data, precision and exact-zero flag.  Random Eisenstein floors, flat and
 nested, of degree 1 to 3 over F_p((t)) and Q_p for p in {2, 3}, with
-coordinates and coefficients cut short, add to the fixed fixtures.
+coordinates and coefficients cut short, add to the fixed fixtures.  On a
+nested floor the product itself runs times_pi in its Horner steps, so the
+independent check of both is the generic-fold reference in
+test_kernel_properties.py.
 """
 
 from __future__ import annotations
