@@ -577,6 +577,7 @@ def digit_expand_base(x, count: int):
     list is shorter than ``count`` when the tracked digits of x run out.
     """
     floor = x.floor
+    lift = floor.ground.teichmuller
     out = []
     r = x
     try:
@@ -584,7 +585,10 @@ def digit_expand_base(x, count: int):
             d = r.residue()
             out.append(d)
             if d:
-                r = r - floor.teichmuller(d)
+                # the lift is ground coordinate 0 of the digit's embedding,
+                # whose other coordinates are exact zeros that add as 0
+                r = r - lift(d) if floor.base is None else type(r)(
+                    floor, (r.coords[0] - lift(d),) + r.coords[1:])
             r = r.udiv(1)
     except PrecisionExhausted:
         pass

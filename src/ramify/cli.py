@@ -144,7 +144,7 @@ def load_job(path):
             except ValueError as exc:
                 raise ValueError("coeffs[%d] of step %r: %s"
                                  % (i, name, exc)) from None
-        floors[name] = attach_eisenstein(base, EisensteinPoly(coeffs))
+        floors[name] = attach_eisenstein(base, EisensteinPoly(coeffs), name)
         order.append(name)
         prev = name
     return {"ground": ground, "floors": floors, "order": order}
@@ -290,9 +290,8 @@ def cmd_tower(job, args):
     if len(job["order"]) != 2:
         raise ValueError("tower reports need a job with exactly two steps")
     nonnegative("--at", args.at)
-    lower = job["floors"][job["order"][0]]
-    upper = job["floors"][job["order"][1]]
-    T = compose_tower(lower.poly, upper.poly)
+    lower, upper = (job["floors"][name] for name in job["order"])
+    T = compose_tower(lower.poly, upper.poly, name=upper.name)
     if not 0 <= args.l <= T.lower.nu + T.upper.nu:
         raise ValueError("l must lie in [0, %d]" % (T.lower.nu + T.upper.nu))
     x = args.at if args.at is not None else Fraction(0)

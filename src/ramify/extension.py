@@ -13,6 +13,12 @@ and a ground scalar x valuation N*v_ground(x).  The weights are distinct
 mod N, so the valuation of an element is the exact minimum of
 v(b_r) + N*v_ground(x_r): no cancellation between coordinates is
 possible, which keeps valuation queries certifiable at finite precision.
+
+Multiplying by pi shifts the parts up one place and folds the old top
+back through E; dividing by pi shifts them down and folds the quotient
+of the low part back.  Both are linear in the ground coordinates, so each
+floor caches their rows (pi_rows, div_rows) and applies them in one pass
+over the raw ground integers (base._ground_matvec).
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ class EisensteinPoly:
         return "EisensteinPoly(deg %d)" % self.degree
 
 
-def attach_eisenstein(base, poly):
-    """Validate poly over base and return the new floor on top.
+def attach_eisenstein(base, poly, name=None):
+    """Validate poly over base and return the new floor on top, called
+    ``name`` in refusals about it.
 
     Eisenstein means every lower coefficient has positive valuation and
     the constant term has valuation exactly 1.  Valuations that cannot
@@ -58,17 +65,17 @@ def attach_eisenstein(base, poly):
     for i, c in enumerate(poly.coeffs[1:], start=1):
         if not c.has_valuation_at_least(1):
             raise NotEisenstein("coefficient %d is a unit" % i)
-    return EisensteinFloor(base, poly)
+    return EisensteinFloor(base, poly, name)
 
 
 class EisensteinFloor:
     """One totally ramified step: base[pi] / E(pi) = 0."""
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
-                 "absolute_degree", "weights", "_c0_unit_inv", "_pi_rows",
-                 "_different")
+                 "absolute_degree", "weights", "name", "_pi_rows",
+                 "_div_rows", "_different")
 
-    def __init__(self, base, poly):
+    def __init__(self, base, poly, name=None):
         self.base = base
         self.poly = poly
         self.degree = n = poly.degree
@@ -77,7 +84,8 @@ class EisensteinFloor:
         self.absolute_degree = n * base.absolute_degree
         below = (0,) if base.base is None else base.weights
         self.weights = tuple(i + n * v for i in range(n) for v in below)
-        self._c0_unit_inv = self._pi_rows = self._different = None
+        self.name = name
+        self._pi_rows = self._div_rows = self._different = None
 
     # -- floor protocol ------------------------------------------------
 
@@ -118,11 +126,6 @@ class EisensteinFloor:
     def residue_inverse(self, r):
         return self.ground.residue_inverse(r)
 
-    def c0_unit_inverse(self):
-        if self._c0_unit_inv is None:
-            self._c0_unit_inv = self.poly.coeffs[0].udiv(1).unit_inverse()
-        return self._c0_unit_inv
-
     def mul_rows(self, w):
         """The matrix of x -> x * w on ground coordinates, by rows.
 
@@ -159,6 +162,29 @@ class EisensteinFloor:
                                             for a, d, dp in row]
             self._pi_rows = rows
         return self._pi_rows
+
+    def div_rows(self):
+        """The rows of x -> x / pi, built once per floor: pi_rows' shift and
+        fold run backwards.
+
+        With c_0 = pi_base c_0' and q = x_0 / pi_base, E(pi) = 0 gives
+        x / pi the parts x_(i+1) + c_(i+1) y below the top part y =
+        -q c_0'^-1.  Returns (top, shift, fold): top, the base's mul_rows of
+        -c_0'^-1, takes q to y; shift takes ground coordinate k + width of
+        x to k; fold takes y to the base's mul_rows of c_i in block i - 1
+        and to itself in block n - 1.
+        """
+        if self._div_rows is None:
+            base, one = self.base, self.ground.one()
+            width, size = base.absolute_degree, self.absolute_degree
+            shift = [[(k + width, one.data, one.prec)]
+                     for k in range(size - width)] + [[]] * width
+            fold = [row for c in self.poly.coeffs[1:]
+                    for row in base.mul_rows(c)]
+            fold += [[(r, one.data, one.prec)] for r in range(width)]
+            top = base.mul_rows(-self.poly.coeffs[0].udiv(1).unit_inverse())
+            self._div_rows = top, shift, fold
+        return self._div_rows
 
     def __repr__(self):
         return "%r[pi] deg %d" % (self.base, self.degree)
@@ -281,24 +307,30 @@ class FloorElement(RingElement):
         return self.coords[0].residue()
 
     def udiv(self, k):
+        """self / pi^k; needs valuation >= k, provably.
+
+        Each division is times_pi run backwards: the low base part is
+        divided by pi_base, and two passes of the floor's cached div_rows
+        over the raw ground integers give the top part and then the shift
+        and fold.  The data, exact-zero flags and (but for exact zeros,
+        which get the ground precision) precisions are those of the route
+        of generic products y = -(x_0 / pi_base) c_0'^-1, then x_i + c_i y,
+        which the tests keep as the reference.
+        """
         x = self
         for _ in range(k):
             x = x._udiv1()
         return x
 
     def _udiv1(self):
-        # part i moves down to i - 1, plus its share c_i * y_top of the fold
         fl = self.floor
-        base, cs, xs = fl.base, fl.poly.coeffs, self.coords
-        if base.base is None:
-            y_top = -(xs[0].udiv(1) * fl.c0_unit_inverse())
-            return _element(fl, [x + c * y_top for x, c in zip(xs[1:], cs[1:])]
-                            + [y_top])
-        w = base.absolute_degree
-        y_top = -(_element(base, xs[:w]).udiv(1) * fl.c0_unit_inverse())
-        return _element(fl, [a + b for i in range(1, fl.degree) for a, b in
-                             zip(xs[i * w:], (cs[i] * y_top).coords)]
-                        + list(y_top.coords))
+        base, xs = fl.base, self.coords
+        low = xs[0] if base.base is None else _element(
+            base, xs[:base.absolute_degree])
+        q, zero = _ground(low.udiv(1)), fl.ground.zero()
+        top, shift, fold = fl.div_rows()
+        y = _ground_matvec([(top, q)], zero)
+        return _element(fl, _ground_matvec([(shift, xs), (fold, y)], zero))
 
     def unit_inverse(self):
         if self.residue() == 0:
@@ -354,8 +386,10 @@ def different_exponent(floor):
         try:
             floor._different = derivative.valuation()
         except PrecisionExhausted as exc:
+            step = ("step %r" % floor.name if floor.name is not None else
+                    "the degree-%d step over %r" % (n, base))
             raise PrecisionExhausted(
-                "the different exponent of the degree-%d step over %r is not "
-                "certified at ground precision %d: it is at least %s"
-                % (n, base, floor.ground.prec, exc.bound), exc.bound) from None
+                "the different exponent of %s is not certified at ground "
+                "precision %d: it is at least %s"
+                % (step, floor.ground.prec, exc.bound), exc.bound) from None
     return floor._different

@@ -262,12 +262,14 @@ def expand_all(jobs):
     return out
 
 
-def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
+def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None,
+                  name=None):
     """Attach both steps, expand all three digit series, profile them.
 
     E2's coefficients live on the lower floor, so that floor is reused;
-    E1 must coincide with its defining polynomial.  The formal composite
-    of the two one-step series is checked against the direct expansion.
+    E1 must coincide with its defining polynomial.  The upper floor is
+    attached as ``name``.  The formal composite of the two one-step series
+    is checked against the direct expansion.
     """
     if isinstance(E1, (list, tuple)):
         E1 = EisensteinPoly(E1)
@@ -284,7 +286,7 @@ def compose_tower(E1, E2, H=None, lower_horizon=None, upper_horizon=None):
             "lower polynomial does not define the upper coefficients' floor"
         )
     ground = L.base
-    M = attach_eisenstein(L, E2)
+    M = attach_eisenstein(L, E2, name)
     (lower_series, lower), (upper_series, upper), (composed_series, composed) \
         = expand_all([(L, ground, lower_horizon, None),
                       (M, L, upper_horizon, None), (M, ground, H, None)])

@@ -551,9 +551,8 @@ def test_uncertified_different_exponent_is_named(tmp_path, capsys, argv):
     low = _write(tmp_path, dict(F3_TWO_STEP, precision=2))
     assert main([argv[0], low] + argv[1:]) == 3
     assert capsys.readouterr() == ("", (
-        "error: the different exponent of the degree-3 step over "
-        "F_3((t)) [prec 2][pi] deg 2 is not certified at ground precision "
-        "2: it is at least 15\n"))
+        "error: the different exponent of step 'M' is not certified at "
+        "ground precision 2: it is at least 15\n"))
 
 
 @pytest.mark.parametrize("precision, argv", [

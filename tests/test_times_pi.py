@@ -1,15 +1,17 @@
-"""Multiplication by pi by shift and fold, and the probes built on it.
+"""Multiplication and division by pi by shift and fold, and the probes
+built on them.
 
 ``FloorElement.times_pi`` must give what ``x * floor.uniformizer()`` gives,
-and ``series.evaluate_at_pi`` (every probe of the oracle, the formal
-composite check, ``tame``) what the generic ``series.evaluate`` gives at
-the same point.  Both sides are compared on every ground coordinate:
-data, precision and exact-zero flag.  Random Eisenstein floors, flat and
-nested, of degree 1 to 3 over F_p((t)) and Q_p for p in {2, 3}, with
-coordinates and coefficients cut short, add to the fixed fixtures.  On a
-nested floor the product itself runs times_pi in its Horner steps, so the
-independent check of both is the generic-fold reference in
-test_kernel_properties.py.
+``FloorElement.udiv`` what the direct route of generic products gives
+(``ref_udiv1`` below), and ``series.evaluate_at_pi`` (every probe of the
+oracle, the formal composite check, ``tame``) what the generic
+``series.evaluate`` gives at the same point.  Both sides are compared on
+every ground coordinate: data, precision and exact-zero flag.  Random
+Eisenstein floors, flat and nested, of degree 1 to 3 over F_p((t)) and Q_p
+for p in {2, 3}, with coordinates and coefficients cut short, add to the
+fixed fixtures.  On a nested floor the product itself runs times_pi in its
+Horner steps, so the independent check of both is the generic-fold
+reference in test_kernel_properties.py.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify.base import BaseScalar, GroundField, vp
+from ramify.errors import NotDivisible, PrecisionExhausted
 from ramify.extension import EisensteinPoly, FloorElement, attach_eisenstein
 from ramify.oracle import _probe
 from ramify.series import DualRing, Series, evaluate, evaluate_at_pi
@@ -98,12 +101,15 @@ def eisenstein(draw, base):
 
 
 @st.composite
-def floors(draw):
-    """A flat floor, or one nested on a flat floor; degrees 1 to 3."""
+def floors(draw, steps=2):
+    """A flat floor, or up to ``steps`` - 1 floors nested on a flat floor;
+    degrees 1 to 3."""
     K = FIELDS[draw(st.sampled_from(["equal", "mixed"])),
                draw(st.sampled_from([2, 3]))]
     floor = attach_eisenstein(K, draw(eisenstein(K)))
-    if draw(st.booleans()):
+    for _ in range(steps - 1):
+        if not draw(st.booleans()):
+            break
         floor = attach_eisenstein(floor, draw(eisenstein(floor)))
     return floor
 
@@ -117,6 +123,72 @@ def test_times_pi_is_the_product_with_pi(data):
     for _ in range(3):
         fast, slow = fast.times_pi(), slow * pi
         assert ground(fast) == ground(slow)
+
+
+def _ref_div(x):
+    return x.udiv(1) if isinstance(x, BaseScalar) else ref_udiv1(x)
+
+
+def ref_udiv1(x):
+    """x / pi by generic products: with E(pi) = 0 and c_0 = pi_base c_0',
+    y = -(x_0 / pi_base) c_0'^-1, and part i - 1 gets x_i + c_i y."""
+    fl = x.floor
+    base, cs, xs = fl.base, fl.poly.coeffs, x.coords
+    w = base.absolute_degree
+    low = xs[0] if base.base is None else FloorElement(base, xs[:w])
+    y_top = -(_ref_div(low) * _ref_div(cs[0]).unit_inverse())
+    return FloorElement(fl, [a + b for i in range(1, fl.degree) for a, b in
+                             zip(xs[i * w:], _scalars(cs[i] * y_top))]
+                        + _scalars(y_top))
+
+
+def _divided(divide, x):
+    try:
+        return divide(x)
+    except (NotDivisible, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+def assert_same_quotient(fast, slow):
+    """Data and precision of every coordinate that is not an exact zero,
+    and every exact-zero flag.  An exact zero's precision is not compared:
+    the row route gives the ground precision where the direct route may
+    keep an operand's, and no value or flag reads it."""
+    if isinstance(slow, type):
+        assert fast is slow
+        return
+    got, want = ground(fast), ground(slow)
+    assert [z for _, _, z in got] == [z for _, _, z in want]
+    assert [g for g in got if not g[2]] == [g for g in want if not g[2]]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_udiv_matches_the_direct_route(data):
+    floor = data.draw(floors(steps=3))
+    fast = slow = data.draw(elements(floor))
+    if data.draw(st.booleans()):
+        fast = slow = fast.times_pi()
+    # as the digit expansion runs: divide, take off the digit, divide again,
+    # until a division refuses
+    for _ in range(4):
+        fast = _divided(lambda x: x.udiv(1), fast)
+        slow = _divided(ref_udiv1, slow)
+        assert_same_quotient(fast, slow)
+        if isinstance(slow, type):
+            return
+        if slow.coords[0].prec:  # else the residue is unknown
+            lift = floor.teichmuller(slow.residue())
+            fast, slow = fast - lift, slow - lift
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_udiv_undoes_times_pi(data):
+    floor = data.draw(floors(steps=3))
+    x = data.draw(elements(floor))
+    # not ==, which compares an exact zero only to its own precision
+    assert (x.times_pi().udiv(1) - x).is_zero_to_precision()
 
 
 def _reference_probe(F, floor, c, u, nil):
