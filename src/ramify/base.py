@@ -465,6 +465,9 @@ class BaseScalar(RingElement):
         o = self._peer(other)
         if o is None:
             return NotImplemented
+        # an exact zero is 0: it equals what is zero to its own precision
+        if self.exact_zero or o.exact_zero:
+            return self.is_zero_to_precision() and o.is_zero_to_precision()
         m = min(self.prec, o.prec)
         if self.field.mode == "equal":
             return _cut(self.data ^ o.data, m) == 0

@@ -25,9 +25,10 @@ directly and stays the reference it is tested against.
 
 Every probe runs series.evaluate_at_pi, which multiplies by pi by shift
 and fold (the floor's rows that FloorElement.times_pi applies) and
-forms no generic floor product in its Horner steps; the generic
-series.evaluate stays the reference route, and the tests compare the
-two bit for bit.
+forms no generic floor product.  The grid probe, at c = 0 and u = 1,
+reads each eps-coefficient off the powers of pi in one pass; a probe at
+any other c or u runs Horner steps.  The generic series.evaluate stays
+the reference route of both, and the tests compare them bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _probe(F, floor, c, u, nil):
         u = floor.embed(u)
     if u.residue() == 0:
         raise ValueError("u must be a unit")
-    w = None  # at c = 0 and u = 1 it is pi, whose rows the floor keeps
+    w = None  # pi: the grid probe, read off the powers of pi
     if not grid:
         w = u
         for _ in range(c + 1):

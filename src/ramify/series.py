@@ -18,7 +18,9 @@ uniformizer of a floor, perturbed or not, evaluate_at_pi multiplies by
 pi by shift and fold on the ground coordinates instead; it serves every
 probe, the formal-composite check and tame, and evaluate stays the
 reference the tests compare it against, as compose_series and the
-oracle's divided_congruence keep using it.
+oracle's divided_congruence keep using it.  The grid probe, at
+pi + pi*eps, is read off the powers of pi in one pass per eps-degree;
+every other point runs Horner steps.
 """
 
 from __future__ import annotations
@@ -170,17 +172,21 @@ def evaluate(series, x):
 
 
 def evaluate_at_pi(series, floor, nil=None, w=None):
-    """Horner evaluation at the uniformizer pi of ``floor``, by shift and fold.
+    """Evaluation at the uniformizer pi of ``floor``, by shift and fold.
 
     Without ``nil`` it gives F(pi) on the floor; with it, F(pi + w*eps)
-    in DualRing(floor, nil), w = pi when omitted.  A step takes the
-    eps-coefficients a_k to a_k pi + a_(k-1) w, the closing pi^offset
-    being ``offset`` further steps.  Both products are matrices on the
-    ground coordinates: times_pi's rows, built once per floor, and w's,
-    built once per call, so a step forms no floor product at all.  Data,
-    precisions and exact-zero flags are those of evaluate(series, z) at
-    the same z, which stays the reference route.
+    in DualRing(floor, nil), w = pi when omitted.  At w = pi and nil >= 2
+    that is the grid probe, read off the powers of pi (_at_pi_powers).
+    Otherwise it is Horner: a step takes the eps-coefficients a_k to
+    a_k pi + a_(k-1) w, the closing pi^offset being ``offset`` further
+    steps.  Both products are matrices on the ground coordinates:
+    times_pi's rows, built once per floor, and w's, built once per call,
+    so a step forms no floor product at all.  Data, precisions and
+    exact-zero flags are those of evaluate(series, z) at the same z,
+    which stays the reference route.
     """
+    if w is None and nil is not None and nil >= 2:
+        return _at_pi_powers(series, floor, nil)
     zero = floor.ground.zero()
     rows = floor.pi_rows()
     w_rows = rows if w is None else floor.mul_rows(w)
@@ -200,6 +206,44 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
     out = [FloorElement(floor, a) for a in acc]
     if nil is None:
         return out[0] if out else floor.zero()
+    return DualRing(floor, nil).element(out)
+
+
+def _at_pi_powers(series, floor, nil):
+    """F(pi + pi*eps) in DualRing(floor, nil): one pass per eps-degree.
+
+    Its eps^m coefficient is sum_h binom(n+h, m) c_h pi^(n+h), n the
+    offset, so the ground coordinates of pi^n ... pi^(n+H-1), built by
+    times_pi, make the rows: row r lists (h, data, prec) of coordinate r
+    of pi^(n+h) where that is not an exact zero.  Each coefficient is one
+    matvec of them on s_m: s_0 = c and, for m >= 1, c_h times the
+    binomial as a scalar at the ground precision that is never an exact
+    zero, even when p divides it, or an exact zero when n+h < m.  One
+    more matvec forms every such product.
+
+    This is bit for bit what Horner gives.  With w = pi every Horner step
+    applies the same rows to every eps-coefficient, so c_h reaches
+    coordinate r of the eps^m coefficient along exactly the paths of
+    n+h steps that reach coordinate r of pi^(n+h), whichever m of them
+    move up in eps, and both routes take the least precision along them.
+    For w other than pi the order of the factors can change which terms
+    are live, so Horner serves those.
+    """
+    ground, n, H = floor.ground, series.offset, series.horizon
+    zero = ground.zero()
+    powers = [floor.one()]
+    for _ in range(n + H - 1):
+        powers.append(powers[-1].times_pi())
+    powers = [x.coords for x in powers[n:]]
+    rows = [[(h, x[r].data, x[r].prec) for h, x in enumerate(powers)
+             if not x[r].exact_zero] for r in range(floor.absolute_degree)]
+    # s_1 ... s_(top-1) in one pass; row (m, h) is empty when n+h < m
+    top = min(nil, n + H)
+    binom = [[(h, ground.from_int(math.comb(n + h, m)).data, ground.prec)]
+             if n + h >= m else [] for m in range(1, top) for h in range(H)]
+    s = list(series.coeffs) + _ground_matvec([(binom, series.coeffs)], zero)
+    out = [FloorElement(floor, _ground_matvec([(rows, s[m * H:m * H + H])],
+                                              zero)) for m in range(top)]
     return DualRing(floor, nil).element(out)
 
 

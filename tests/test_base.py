@@ -12,6 +12,8 @@ from ramify.base import (
 )
 from ramify.errors import NotAUnit, NotDivisible, PrecisionExhausted
 
+from conftest import short_scalar
+
 
 def test_vp():
     assert vp(1, 2) == 0
@@ -140,6 +142,19 @@ def test_exact_zero_addition_keeps_other_operand():
     z = K.zero(3)
     assert (t + z) == t
     assert (t + z).prec == t.prec
+
+
+@pytest.mark.parametrize("K", [GroundField.equal_char(2, 8),
+                               GroundField.mixed_char(3, 8)], ids=repr)
+def test_exact_zero_compares_at_the_other_precision(K):
+    z = K.zero(0)  # as K.zero().udiv(k) leaves it for k >= prec
+    assert z.exact_zero and z.prec == 0
+    assert z != K.one() and K.one() != z
+    assert z == K.zero() and K.zero() == z
+    short = short_scalar(K.zero(), 3)
+    assert not short.exact_zero and short.prec == 3
+    assert short == z and z == short
+    assert short_scalar(K.one(), 3) != z
 
 
 def test_digit_expand_base():

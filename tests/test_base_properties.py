@@ -58,9 +58,13 @@ class Ref:
                 out[i + j] += self.digits[i] * o.digits[j]
         return self._new([c % self.p for c in out], m)
 
+    def _digit(self, k):
+        return 0 if self.exact_zero else self.digits[k]
+
     def __eq__(self, o):
-        m = min(self.prec, o.prec)
-        return self.digits[:m] == o.digits[:m]
+        # the digits both sides know; an exact zero knows every digit
+        m = min((r.prec for r in (self, o) if not r.exact_zero), default=0)
+        return all(self._digit(k) == o._digit(k) for k in range(m))
 
     def is_zero_to_precision(self):
         return not any(self.digits)

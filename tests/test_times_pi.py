@@ -4,14 +4,14 @@ built on them.
 ``FloorElement.times_pi`` must give what ``x * floor.uniformizer()`` gives,
 ``FloorElement.udiv`` what the direct route of generic products gives
 (``ref_udiv1`` below), and ``series.evaluate_at_pi`` (every probe of the
-oracle, the formal composite check, ``tame``) what the generic
-``series.evaluate`` gives at the same point.  Both sides are compared on
-every ground coordinate: data, precision and exact-zero flag.  Random
-Eisenstein floors, flat and nested, of degree 1 to 3 over F_p((t)) and Q_p
-for p in {2, 3}, with coordinates and coefficients cut short, add to the
-fixed fixtures.  On a nested floor the product itself runs times_pi in its
-Horner steps, so the independent check of both is the generic-fold
-reference in test_kernel_properties.py.
+oracle, the grid probe at every nilpotency, the formal composite check,
+``tame``) what the generic ``series.evaluate`` gives at the same point.
+Both sides are compared on every ground coordinate: data, precision and
+exact-zero flag.  Random Eisenstein floors, flat and nested, of degree 1
+to 3 over F_p((t)) and Q_p for p in {2, 3}, with coordinates and
+coefficients cut short, add to the fixed fixtures.  On a nested floor the
+product itself runs times_pi in its Horner steps, so the independent check
+of both is the generic-fold reference in test_kernel_properties.py.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from ramify.base import BaseScalar, GroundField, vp
 from ramify.errors import NotDivisible, PrecisionExhausted
 from ramify.extension import EisensteinPoly, FloorElement, attach_eisenstein
+from ramify import series as series_module
 from ramify.oracle import _probe
 from ramify.series import DualRing, Series, evaluate, evaluate_at_pi
 
@@ -187,7 +188,6 @@ def test_udiv_matches_the_direct_route(data):
 def test_udiv_undoes_times_pi(data):
     floor = data.draw(floors(steps=3))
     x = data.draw(elements(floor))
-    # not ==, which compares an exact zero only to its own precision
     assert (x.times_pi().udiv(1) - x).is_zero_to_precision()
 
 
@@ -219,6 +219,48 @@ def test_probes_match_generic_evaluation_on_random_floors(data):
     coeffs = data.draw(st.lists(scalars(K), min_size=1, max_size=4))
     F = Series(data.draw(st.integers(1, 4)), coeffs)
     assert_probes_match(F, floor, cs=(0, data.draw(st.integers(1, 3))))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_grid_probe_matches_generic_evaluation_at_every_nilpotency(data):
+    floor = data.draw(floors(steps=3))
+    coeffs = data.draw(st.lists(scalars(floor.ground), min_size=1, max_size=4))
+    F = Series(data.draw(st.integers(1, 4)), coeffs)
+    pi = floor.uniformizer()
+    for nil in range(2, F.offset + F.horizon + 2):
+        want = evaluate(F, DualRing(floor, nil).element([pi, pi]))
+        assert ground(evaluate_at_pi(F, floor, nil)) == ground(want), nil
+
+
+def test_grid_probe_keeps_a_binomial_that_p_divides_live(monkeypatch):
+    # F = X^2 + c_2 X^4 over F_2((t)), c_2 short: the eps coefficient of
+    # F(pi + pi eps), 2 pi^2 + 4 c_2 pi^4, is zero in every coordinate but,
+    # as in Horner, not an exact zero
+    case = CASE_BUILDERS["f2_quadratic"]()
+    floor, K = case.floor, case.ground
+    F = Series(2, [K.one(), K.zero(), short_scalar(K.one(), 5)])
+    passes = {"times_pi": 0, "matvec": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            passes[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(FloorElement, "times_pi",
+                        counted("times_pi", FloorElement.times_pi))
+    monkeypatch.setattr(series_module, "_ground_matvec",
+                        counted("matvec", series_module._ground_matvec))
+    got = evaluate_at_pi(F, floor, 4)
+    # pi^0 ... pi^(n+H-1) by times_pi, the binomials, one pass per eps-degree
+    assert passes == {"times_pi": F.offset + F.horizon - 1, "matvec": 1 + 4}
+    monkeypatch.undo()
+    assert [(g.data, g.exact_zero) for g in got.coeffs[1].coords] == [
+        (0, False), (0, False)]
+    pi = floor.uniformizer()
+    want = evaluate(F, DualRing(floor, 4).element([pi, pi]))
+    assert ground(got) == ground(want)
 
 
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
