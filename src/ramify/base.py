@@ -29,7 +29,7 @@ slots at once.  No slot overflows into the next:
   0 for p = 2, else by folding each slot's high byte onto its low one
   (2^8 = r mod p; a slot stays at most 255 (p-1) + 255 = 255 p < 2^16,
   as p <= 256) until every slot fits a byte, which a table reduces.
-* sums of products (_ground_product, _ground_matvec): for p = 2 the raw
+* sums of products (_ground_product, _pair_matvec): for p = 2 the raw
   products are XORed.  No slot of one product carries (it is at most
   prec), XOR never does, and bit 0 of a slot of the XOR is the parity of
   the slot sum, so one mask per output reduces it.  For odd p the raw
@@ -47,6 +47,14 @@ Mixed-mode sums of products are plain int sums with one reduction mod
 p^m per output.  An output's precision m is the least min(prec_a, prec_b)
 over the products it sums, which is what adding the scalar products one
 by one would give.
+
+Linear maps on ground coordinates (multiplying and dividing by the
+uniformizer of a floor) run in one pair kernel, _pair_matvec, on
+(data, prec) pairs with None for an exact zero, so the hot loops build
+no scalar per step.  Given a window of w digits it settles each output
+at min(prec, w) digits and keeps prec as it is: the digit expansion
+(digit_expand_base) carries only the digits it will read, while the
+precision it tracks, and every refusal that reads it, is unchanged.
 """
 
 from __future__ import annotations
@@ -185,38 +193,66 @@ def _ground_product(a, b, out_len, zero, fold=()):
             for v, m in zip(acc[:n], pr)]
 
 
-def _ground_matvec(terms, zero):
-    """The sum of M x over (M, x) in terms, on raw ground integers.
+def _pair_matvec(terms, field, window=None):
+    """The sum of M x over (M, x) in terms, on (data, prec) pairs.
 
     M is given by rows: rows[k] lists (j, d, dp) for each nonzero entry
-    M[k][j], d its data at precision dp; x is a sequence of ground
-    scalars.  As in _ground_product, each product of an entry and an x_j
-    that is not an exact zero bounds its output's precision, and an
-    output with no such product is ``zero``.
+    M[k][j], d its data at precision dp; x lists the pair (data, prec) of
+    each ground coordinate, or None for an exact zero.  As in
+    _ground_product, each product of an entry and an x_j that is not an
+    exact zero bounds its output's precision, and an output with no such
+    product is None.  Output k is (data, q), q the least precision of its
+    products; with a ``window`` its data is settled at min(q, window)
+    digits, the low digits of what the full data would be.
     """
-    f = zero.field
+    f = field
     xor = f.mode == "equal" and f.p == 2
+    mixed = f.mode == "mixed"
+    ppow, budget = f._ppow, f._budget
+    cap = f.prec if window is None else window
     out = []
     for k in range(len(terms[0][0])):
         v, q, since = 0, INFINITY, 0  # since: products since the last reduce
         for rows, x in terms:
             for j, d, dp in rows[k]:
                 y = x[j]
-                if y.exact_zero:
+                if y is None:
                     continue
-                if since == f._budget:
-                    v, since = f._settle(v, f.prec), 0
+                if since == budget:
+                    v, since = f._settle(v, cap), 0
                 since += 1
+                yd, yp = y
                 if xor:
-                    v ^= y.data * d
+                    v ^= yd * d
                 else:
-                    v += y.data * d
-                m = y.prec if y.prec < dp else dp
+                    v += yd * d
+                m = yp if yp < dp else dp
                 if m < q:
                     q = m
-        out.append(zero if q == INFINITY
-                   else _scalar(f, f._settle(v, q), q, False))
+        if q == INFINITY:
+            out.append(None)
+            continue
+        m = q if q < cap else cap
+        if mixed:  # the p^m lookup of _settle, bound once per call
+            pw = ppow.get(m)
+            if pw is None:
+                pw = f.ppow(m)
+            out.append((v % pw, q))
+        else:
+            out.append((f._reduce(_cut(v, m), m), q))
     return out
+
+
+def _pairs(scalars):
+    """The (data, prec) pairs of ground scalars, None for an exact zero."""
+    return [None if g.exact_zero else (g.data, g.prec) for g in scalars]
+
+
+def _scalars(field, pairs):
+    """The ground scalars of (data, prec) pairs; None is the exact zero."""
+    zero = field.zero()
+    return [zero if y is None else _scalar(field, y[0], y[1], False)
+            for y in pairs]
 
 
 class GroundField:
@@ -328,6 +364,28 @@ class GroundField:
     def mul_rows(self, w):
         """The 1 x 1 matrix of x -> x * w, as EisensteinFloor.mul_rows."""
         return [[] if w.exact_zero else [(0, w.data, w.prec)]]
+
+    def udiv_pairs(self, xs, window=None):
+        """x / uniformizer on the (data, prec) pair of x, as BaseScalar.udiv:
+        an exact zero (None) stays one.  The floor protocol of
+        EisensteinFloor.udiv_pairs; a shift keeps within any ``window``."""
+        x = xs[0]
+        return [None if x is None else (self._udiv_data(*x, 1), x[1] - 1)]
+
+    def _udiv_data(self, data, prec, k):
+        """The data at precision prec divided by uniformizer^k: refused
+        unless the tracked digits prove the valuation is at least k."""
+        if prec < k:
+            raise PrecisionExhausted(
+                "cannot certify divisibility by power %d at precision %d"
+                % (k, prec), bound=prec)
+        if self.mode == "equal":
+            if _cut(data, k):
+                raise NotDivisible("valuation below %d" % k)
+            return data >> _SLOT * k
+        if data % self.ppow(k):
+            raise NotDivisible("valuation below %d" % k)
+        return data // self.ppow(k)
 
     def _fold(self, s):
         """Subtract p from every slot of s that holds p or more."""
@@ -519,20 +577,9 @@ class BaseScalar(RingElement):
             return self
         if self.exact_zero:
             return self.field.zero(max(self.prec - k, 0))
-        if self.prec < k:
-            raise PrecisionExhausted(
-                "cannot certify divisibility by power %d at precision %d"
-                % (k, self.prec),
-                bound=self.prec,
-            )
         f = self.field
-        if f.mode == "equal":
-            if _cut(self.data, k):
-                raise NotDivisible("valuation below %d" % k)
-            return _scalar(f, self.data >> _SLOT * k, self.prec - k, False)
-        if self.data % f.ppow(k):
-            raise NotDivisible("valuation below %d" % k)
-        return _scalar(f, self.data // f.ppow(k), self.prec - k, False)
+        return _scalar(f, f._udiv_data(self.data, self.prec, k), self.prec - k,
+                       False)
 
     def unit_inverse(self):
         if self.residue() == 0:
@@ -578,21 +625,46 @@ def digit_expand_base(x, count: int):
     Works over any floor: x = sum_k lift(d_k) * pi^k + O(pi^count), where
     pi is the uniformizer of x's floor.  Returns the residues d_k; the
     list is shorter than ``count`` when the tracked digits of x run out.
+
+    The expansion runs on the (data, prec) pairs of x's ground
+    coordinates, and it carries only the ground digits that the digits
+    still to come can read.  Digits k+1 ... count-1 depend on x_k = (x -
+    sum_(i<k) lift(d_i) pi^i) / pi^k only modulo pi^(count-k), so before
+    the k-th division each ground coordinate is cut to the window s =
+    min(P, ceil((count-k-1)/N) + 1) ground digits, N the floor's absolute
+    degree and P the ground precision; udiv_pairs divides on rows cut to
+    that window.  The cut changes x_k by a multiple of pi^(N s) and the
+    division keeps every such error at valuation at least count-k-1, so
+    each digit read is the one the full data gives.  Precisions and
+    exact-zero flags never read the data: they, the digit count and so
+    every refusal are those of dividing at full precision.
     """
     floor = x.floor
-    lift = floor.ground.teichmuller
-    out = []
-    r = x
+    f, n = floor.ground, floor.absolute_degree
+    xs = _pairs((x,) if floor is f else x.coords)
+    out, width = [], f.prec + 1
     try:
-        for _ in range(count):
-            d = r.residue()
+        for k in range(count):
+            x0 = xs[0]
+            d = 0
+            if x0 is not None:
+                if x0[1] < 1:
+                    break  # no digit left to read
+                d = x0[0] & 0xFFFF if f.mode == "equal" else x0[0] % f.p
             out.append(d)
+            if k + 1 == count:
+                break
+            s = min(f.prec, -(-(count - k - 1) // n) + 1)
+            if s < width:
+                width = s
+                xs = [None if y is None else (f._settle(y[0], s), y[1])
+                      for y in xs]
             if d:
-                # the lift is ground coordinate 0 of the digit's embedding,
-                # whose other coordinates are exact zeros that add as 0
-                r = r - lift(d) if floor.base is None else type(r)(
-                    floor, (r.coords[0] - lift(d),) + r.coords[1:])
-            r = r.udiv(1)
+                # the lift is ground coordinate 0 of the digit's embedding
+                data, prec = xs[0]
+                xs[0] = (f._settle(data - f.teichmuller(d).data, min(prec, s)),
+                         prec)
+            xs = floor.udiv_pairs(xs, s)
     except PrecisionExhausted:
         pass
     return out

@@ -18,13 +18,16 @@ Multiplying by pi shifts the parts up one place and folds the old top
 back through E; dividing by pi shifts them down and folds the quotient
 of the low part back.  Both are linear in the ground coordinates, so each
 floor caches their rows (pi_rows, div_rows) and applies them in one pass
-over the raw ground integers (base._ground_matvec).
+over the (data, prec) pairs of the ground coordinates (base._pair_matvec).
+The digit expansion divides on a shrinking window of ground digits, so a
+floor also keeps its division rows cut to each power-of-two window it
+has been asked for.
 """
 
 from __future__ import annotations
 
-from .base import (INFINITY, BaseScalar, RingElement, _ground_matvec,
-                   _ground_product, _new_object)
+from .base import (INFINITY, BaseScalar, RingElement, _ground_product,
+                   _new_object, _pair_matvec, _pairs, _scalars)
 from .errors import NotAUnit, NotEisenstein, PrecisionExhausted
 
 
@@ -73,7 +76,7 @@ class EisensteinFloor:
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
                  "absolute_degree", "weights", "name", "_pi_rows",
-                 "_div_rows", "_different")
+                 "_div_rows", "_cut_rows", "_different")
 
     def __init__(self, base, poly, name=None):
         self.base = base
@@ -86,6 +89,7 @@ class EisensteinFloor:
         self.weights = tuple(i + n * v for i in range(n) for v in below)
         self.name = name
         self._pi_rows = self._div_rows = self._different = None
+        self._cut_rows = {}  # div_rows cut to a power-of-two window
 
     # -- floor protocol ------------------------------------------------
 
@@ -132,7 +136,7 @@ class EisensteinFloor:
         Row k lists (j, data, prec) for each ground coordinate k of
         e_j * w that is not an exact zero, e_j the j-th ground basis
         element.  x * w is linear in x's ground coordinates, so
-        base._ground_matvec over these rows gives its data, precisions
+        base._pair_matvec over these rows gives its data, precisions
         and exact-zero flags.
         """
         size = self.absolute_degree
@@ -163,7 +167,7 @@ class EisensteinFloor:
             self._pi_rows = rows
         return self._pi_rows
 
-    def div_rows(self):
+    def div_rows(self, window=None):
         """The rows of x -> x / pi, built once per floor: pi_rows' shift and
         fold run backwards.
 
@@ -173,6 +177,11 @@ class EisensteinFloor:
         -c_0'^-1, takes q to y; shift takes ground coordinate k + width of
         x to k; fold takes y to the base's mul_rows of c_i in block i - 1
         and to itself in block n - 1.
+
+        With a ``window`` below the ground precision, every entry's data
+        is cut to the power of two at or above it, its precision kept: the
+        low ``window`` digits of a product do not read the rest.  The cut
+        copies are cached on the floor, at most one per power of two.
         """
         if self._div_rows is None:
             base, one = self.base, self.ground.one()
@@ -184,7 +193,27 @@ class EisensteinFloor:
             fold += [[(r, one.data, one.prec)] for r in range(width)]
             top = base.mul_rows(-self.poly.coeffs[0].udiv(1).unit_inverse())
             self._div_rows = top, shift, fold
-        return self._div_rows
+        width = INFINITY if window is None else 1 << (window - 1).bit_length()
+        if width >= self.ground.prec:
+            return self._div_rows
+        rows = self._cut_rows.get(width)
+        if rows is None:
+            settle = self.ground._settle
+            rows = self._cut_rows[width] = tuple(
+                [[(j, settle(d, width), dp) for j, d, dp in row] for row in m]
+                for m in self._div_rows)
+        return rows
+
+    def udiv_pairs(self, xs, window=None):
+        """x / pi on the (data, prec) pairs of x's ground coordinates, None
+        for an exact zero: the low base part divided by pi_base, then two
+        passes of div_rows.  With a ``window`` every output's data is
+        settled at the window, on rows cut to it (base.digit_expand_base)."""
+        base, ground = self.base, self.ground
+        q = base.udiv_pairs(xs[:base.absolute_degree], window)
+        top, shift, fold = self.div_rows(window)
+        y = _pair_matvec([(top, q)], ground, window)
+        return _pair_matvec([(shift, xs), (fold, y)], ground, window)
 
     def __repr__(self):
         return "%r[pi] deg %d" % (self.base, self.degree)
@@ -260,8 +289,8 @@ class FloorElement(RingElement):
         precisions and exact-zero flags of ``self * floor.uniformizer()``.
         """
         fl = self.floor
-        return _element(fl, _ground_matvec([(fl.pi_rows(), self.coords)],
-                                           fl.ground.zero()))
+        return _element(fl, _scalars(fl.ground, _pair_matvec(
+            [(fl.pi_rows(), _pairs(self.coords))], fl.ground)))
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -309,28 +338,18 @@ class FloorElement(RingElement):
     def udiv(self, k):
         """self / pi^k; needs valuation >= k, provably.
 
-        Each division is times_pi run backwards: the low base part is
-        divided by pi_base, and two passes of the floor's cached div_rows
-        over the raw ground integers give the top part and then the shift
-        and fold.  The data, exact-zero flags and (but for exact zeros,
-        which get the ground precision) precisions are those of the route
-        of generic products y = -(x_0 / pi_base) c_0'^-1, then x_i + c_i y,
-        which the tests keep as the reference.
+        Each division is times_pi run backwards (floor.udiv_pairs): the
+        low base part is divided by pi_base, and two passes of the floor's
+        cached div_rows over the (data, prec) pairs give the top part and
+        then the shift and fold.  The data, exact-zero flags and (but for
+        exact zeros, which get the ground precision) precisions are those
+        of the route of generic products y = -(x_0 / pi_base) c_0'^-1,
+        then x_i + c_i y, which the tests keep as the reference.
         """
-        x = self
+        fl, xs = self.floor, _pairs(self.coords)
         for _ in range(k):
-            x = x._udiv1()
-        return x
-
-    def _udiv1(self):
-        fl = self.floor
-        base, xs = fl.base, self.coords
-        low = xs[0] if base.base is None else _element(
-            base, xs[:base.absolute_degree])
-        q, zero = _ground(low.udiv(1)), fl.ground.zero()
-        top, shift, fold = fl.div_rows()
-        y = _ground_matvec([(top, q)], zero)
-        return _element(fl, _ground_matvec([(shift, xs), (fold, y)], zero))
+            xs = fl.udiv_pairs(xs)
+        return _element(fl, _scalars(fl.ground, xs))
 
     def unit_inverse(self):
         if self.residue() == 0:

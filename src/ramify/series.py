@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .base import RingElement, _convolve, _ground_matvec, digit_expand_base
+from .base import (RingElement, _convolve, _pair_matvec, _pairs, _scalar,
+                   _scalars, digit_expand_base)
 from .extension import FloorElement
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
@@ -187,23 +188,26 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
     """
     if w is None and nil is not None and nil >= 2:
         return _at_pi_powers(series, floor, nil)
-    zero = floor.ground.zero()
+    ground = floor.ground
     rows = floor.pi_rows()
     w_rows = rows if w is None else floor.mul_rows(w)
     top = 1 if nil is None else nil
-    acc = []  # ground coordinates of the eps-coefficients; the rest are 0
+    acc = []  # (data, prec) pairs of the eps-coefficients; the rest are 0
     for c in list(reversed(series.coeffs)) + [None] * series.offset:
-        new = [_ground_matvec([(rows, a)], zero) for a in acc[:1]]
-        new += [_ground_matvec([(w_rows, b), (rows, a)], zero)
+        new = [_pair_matvec([(rows, a)], ground) for a in acc[:1]]
+        new += [_pair_matvec([(w_rows, b), (rows, a)], ground)
                 for b, a in zip(acc, acc[1:])]
         if 0 < len(acc) < top:
-            new.append(_ground_matvec([(w_rows, acc[-1])], zero))
+            new.append(_pair_matvec([(w_rows, acc[-1])], ground))
         if c is not None:
             if not new:
-                new = [[zero] * floor.absolute_degree]
-            new[0][0] = new[0][0] + c
+                new = [[None] * floor.absolute_degree]
+            if not c.exact_zero:
+                a = new[0][0]
+                a = c if a is None else _scalar(ground, *a, False) + c
+                new[0][0] = (a.data, a.prec)
         acc = new
-    out = [FloorElement(floor, a) for a in acc]
+    out = [FloorElement(floor, _scalars(ground, a)) for a in acc]
     if nil is None:
         return out[0] if out else floor.zero()
     return DualRing(floor, nil).element(out)
@@ -214,12 +218,13 @@ def _at_pi_powers(series, floor, nil):
 
     Its eps^m coefficient is sum_h binom(n+h, m) c_h pi^(n+h), n the
     offset, so the ground coordinates of pi^n ... pi^(n+H-1), built by
-    times_pi, make the rows: row r lists (h, data, prec) of coordinate r
-    of pi^(n+h) where that is not an exact zero.  Each coefficient is one
-    matvec of them on s_m: s_0 = c and, for m >= 1, c_h times the
-    binomial as a scalar at the ground precision that is never an exact
-    zero, even when p divides it, or an exact zero when n+h < m.  One
-    more matvec forms every such product.
+    passes of the floor's pi_rows on (data, prec) pairs, make the rows:
+    row r lists (h, data, prec) of coordinate r of pi^(n+h) where that is
+    not an exact zero.  Each coefficient is one matvec of them on s_m:
+    s_0 = c and, for m >= 1, c_h times the binomial as a scalar at the
+    ground precision that is never an exact zero, even when p divides it,
+    or an exact zero when n+h < m.  One more matvec forms every such
+    product.
 
     This is bit for bit what Horner gives.  With w = pi every Horner step
     applies the same rows to every eps-coefficient, so c_h reaches
@@ -230,20 +235,21 @@ def _at_pi_powers(series, floor, nil):
     are live, so Horner serves those.
     """
     ground, n, H = floor.ground, series.offset, series.horizon
-    zero = ground.zero()
-    powers = [floor.one()]
+    pi_rows = floor.pi_rows()
+    powers = [_pairs(floor.one().coords)]
     for _ in range(n + H - 1):
-        powers.append(powers[-1].times_pi())
-    powers = [x.coords for x in powers[n:]]
-    rows = [[(h, x[r].data, x[r].prec) for h, x in enumerate(powers)
-             if not x[r].exact_zero] for r in range(floor.absolute_degree)]
+        powers.append(_pair_matvec([(pi_rows, powers[-1])], ground))
+    powers = powers[n:]
+    rows = [[(h, *x[r]) for h, x in enumerate(powers) if x[r] is not None]
+            for r in range(floor.absolute_degree)]
     # s_1 ... s_(top-1) in one pass; row (m, h) is empty when n+h < m
     top = min(nil, n + H)
     binom = [[(h, ground.from_int(math.comb(n + h, m)).data, ground.prec)]
              if n + h >= m else [] for m in range(1, top) for h in range(H)]
-    s = list(series.coeffs) + _ground_matvec([(binom, series.coeffs)], zero)
-    out = [FloorElement(floor, _ground_matvec([(rows, s[m * H:m * H + H])],
-                                              zero)) for m in range(top)]
+    cs = _pairs(series.coeffs)
+    s = cs + _pair_matvec([(binom, cs)], ground)
+    out = [FloorElement(floor, _scalars(ground, _pair_matvec(
+        [(rows, s[m * H:m * H + H])], ground))) for m in range(top)]
     return DualRing(floor, nil).element(out)
 
 

@@ -16,6 +16,8 @@ of both is the generic-fold reference in test_kernel_properties.py.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,11 @@ from ramify.series import DualRing, Series, evaluate, evaluate_at_pi
 from conftest import CASE_BUILDERS, build_double_quadratic_tower, short_scalar
 
 PREC = 24
-FIELDS = {(mode, p): GroundField(mode, p, PREC)
-          for mode in ("equal", "mixed") for p in (2, 3)}
+
+
+@functools.cache
+def ground_field(mode, p, prec=PREC):
+    return GroundField(mode, p, prec)
 
 
 def _scalars(x):
@@ -58,11 +63,13 @@ def _assemble(floor, scalars):
 
 @st.composite
 def scalars(draw, K, kinds=("exact_zero", "digits", "short")):
-    """An exact zero (at any precision, as udiv leaves one), a few digits
-    past a valuation, or those cut short."""
+    """An exact zero (at any precision, as udiv leaves one), a zero known to
+    a few digits, a few digits past a valuation, or those cut short."""
     kind = draw(st.sampled_from(kinds))
     if kind == "exact_zero":
-        return K.zero(draw(st.sampled_from([PREC, 0, PREC - 1])))
+        return K.zero(draw(st.sampled_from([K.prec, 0, K.prec - 1])))
+    if kind == "zero":
+        return short_scalar(K.zero(), draw(st.integers(1, K.prec)))
     t = K.uniformizer()
     x = K.zero()
     v = draw(st.integers(0, 3))
@@ -70,7 +77,7 @@ def scalars(draw, K, kinds=("exact_zero", "digits", "short")):
                                         min_size=1, max_size=5))):
         x = x + K.from_int(d) * t ** (v + k)
     if kind == "short":
-        x = short_scalar(x, draw(st.integers(1, PREC)))
+        x = short_scalar(x, draw(st.integers(1, K.prec)))
     return x
 
 
@@ -82,18 +89,17 @@ def elements(draw, floor, kinds=("exact_zero", "digits", "short")):
 
 
 @st.composite
-def eisenstein(draw, base):
-    """pi_base * unit, then multiples of pi_base, all cut to as few as
-    three digits or kept whole."""
+def eisenstein(draw, base, whole=("exact_zero", "digits")):
+    """pi_base * unit, then multiples of pi_base, their parts drawn from
+    the kinds ``whole``, all cut to as few as three digits or kept whole."""
     K = base.ground
     pi = base.uniformizer()
     n = draw(st.integers(1, 3))
     unit = base.from_int(draw(st.integers(1, K.p - 1)))
-    whole = ("exact_zero", "digits")
     coeffs = [pi * (unit + pi * draw(elements(base, whole)))]
     coeffs += [pi * draw(elements(base, whole)) for _ in range(n - 1)]
     if draw(st.booleans()):
-        cut = draw(st.integers(3, PREC))
+        cut = draw(st.integers(3, K.prec))
         coeffs = [_assemble(base, [g if g.exact_zero
                                    else short_scalar(g, min(cut, g.prec))
                                    for g in _scalars(c)])
@@ -102,16 +108,16 @@ def eisenstein(draw, base):
 
 
 @st.composite
-def floors(draw, steps=2):
+def floors(draw, steps=2, prec=PREC, whole=("exact_zero", "digits")):
     """A flat floor, or up to ``steps`` - 1 floors nested on a flat floor;
-    degrees 1 to 3."""
-    K = FIELDS[draw(st.sampled_from(["equal", "mixed"])),
-               draw(st.sampled_from([2, 3]))]
-    floor = attach_eisenstein(K, draw(eisenstein(K)))
+    degrees 1 to 3, over a ground field at precision ``prec``."""
+    K = ground_field(draw(st.sampled_from(["equal", "mixed"])),
+                     draw(st.sampled_from([2, 3])), prec)
+    floor = attach_eisenstein(K, draw(eisenstein(K, whole)))
     for _ in range(steps - 1):
         if not draw(st.booleans()):
             break
-        floor = attach_eisenstein(floor, draw(eisenstein(floor)))
+        floor = attach_eisenstein(floor, draw(eisenstein(floor, whole)))
     return floor
 
 
@@ -240,21 +246,21 @@ def test_grid_probe_keeps_a_binomial_that_p_divides_live(monkeypatch):
     case = CASE_BUILDERS["f2_quadratic"]()
     floor, K = case.floor, case.ground
     F = Series(2, [K.one(), K.zero(), short_scalar(K.one(), 5)])
-    passes = {"times_pi": 0, "matvec": 0}
+    passes = {"power": 0, "coefficient": 0}
+    kernel = series_module._pair_matvec
 
-    def counted(name, fn):
-        def call(*args):
-            passes[name] += 1
-            return fn(*args)
-        return call
+    def counted(terms, field, window=None):
+        # a pass on the floor's pi_rows is one step of the powers of pi
+        passes["power" if terms[0][0] is floor.pi_rows()
+               else "coefficient"] += 1
+        return kernel(terms, field, window)
 
-    monkeypatch.setattr(FloorElement, "times_pi",
-                        counted("times_pi", FloorElement.times_pi))
-    monkeypatch.setattr(series_module, "_ground_matvec",
-                        counted("matvec", series_module._ground_matvec))
+    monkeypatch.setattr(series_module, "_pair_matvec", counted)
     got = evaluate_at_pi(F, floor, 4)
-    # pi^0 ... pi^(n+H-1) by times_pi, the binomials, one pass per eps-degree
-    assert passes == {"times_pi": F.offset + F.horizon - 1, "matvec": 1 + 4}
+    # pi^0 ... pi^(n+H-1) by n+H-1 passes of pi_rows, then the binomials and
+    # one pass per eps-degree
+    assert passes == {"power": F.offset + F.horizon - 1,
+                      "coefficient": 1 + 4}
     monkeypatch.undo()
     assert [(g.data, g.exact_zero) for g in got.coeffs[1].coords] == [
         (0, False), (0, False)]
