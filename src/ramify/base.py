@@ -48,8 +48,9 @@ p^m per output.  An output's precision m is the least min(prec_a, prec_b)
 over the products it sums, which is what adding the scalar products one
 by one would give.
 
-Linear maps on ground coordinates (multiplying and dividing by the
-uniformizer of a floor) run in one pair kernel, _pair_matvec, on
+Linear maps on ground coordinates (multiplying by an element of a floor
+over another floor, and multiplying and dividing by the uniformizer of a
+floor) run in one pair kernel, _pair_matvec, on
 (data, prec) pairs with None for an exact zero, so the hot loops build
 no scalar per step.  Given a window of w digits it settles each output
 at min(prec, w) digits and keeps prec as it is: the digit expansion

@@ -19,6 +19,10 @@ back through E; dividing by pi shifts them down and folds the quotient
 of the low part back.  Both are linear in the ground coordinates, so each
 floor caches their rows (pi_rows, div_rows) and applies them in one pass
 over the (data, prec) pairs of the ground coordinates (base._pair_matvec).
+A product on a floor over another floor is one such pass too: the rows of
+x -> x * w (mul_rows) come from the base's rows of w's parts and passes
+of pi_rows, with no floor product.  A floor directly over the ground field
+keeps its one-pass product of raw integers (base._ground_product).
 The digit expansion divides on a shrinking window of ground digits, so a
 floor also keeps its division rows cut to each power-of-two window it
 has been asked for.
@@ -131,20 +135,35 @@ class EisensteinFloor:
         return self.ground.residue_inverse(r)
 
     def mul_rows(self, w):
-        """The matrix of x -> x * w on ground coordinates, by rows.
+        """The matrix of x -> x * w on ground coordinates, by rows, for w
+        on this floor or any below it.
 
         Row k lists (j, data, prec) for each ground coordinate k of
-        e_j * w that is not an exact zero, e_j the j-th ground basis
+        b_j * w that is not an exact zero, b_j the j-th ground basis
         element.  x * w is linear in x's ground coordinates, so
         base._pair_matvec over these rows gives its data, precisions
         and exact-zero flags.
+
+        Built by structure, with no floor product: column s of the base's
+        mul_rows of each part w_i holds the coordinates of w_i b_s, so
+        together they give w b_s; passes of pi_rows on that column give
+        w pi^i b_s, column i * width + s.
         """
-        size = self.absolute_degree
-        one, zero = self.ground.one(), self.ground.zero()
-        cols = [(_element(self, [one if i == j else zero for i in range(size)])
-                 * w).coords for j in range(size)]
-        return [[(j, col[k].data, col[k].prec) for j, col in enumerate(cols)
-                 if not col[k].exact_zero] for k in range(size)]
+        w = self.embed(w)
+        base, ground = self.base, self.ground
+        width, size = base.absolute_degree, self.absolute_degree
+        cols = [[None] * size for _ in range(width)]
+        for r in range(0, size, width):
+            gs = w.coords[r:r + width]
+            for k, row in enumerate(base.mul_rows(
+                    gs[0] if base.base is None else _element(base, gs))):
+                for s, d, dp in row:
+                    cols[s][r + k] = (d, dp)
+        rows = self.pi_rows()
+        for _ in range(size - width):
+            cols.append(_pair_matvec([(rows, cols[-width])], ground))
+        return [[(j, *col[k]) for j, col in enumerate(cols)
+                 if col[k] is not None] for k in range(size)]
 
     def pi_rows(self):
         """mul_rows of the uniformizer, built once per floor by shift and fold.
@@ -265,20 +284,13 @@ class FloorElement(RingElement):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        fl, base = self.floor, self.floor.base
-        if base.base is None:
+        fl = self.floor
+        if fl.base.base is None:
             return _element(fl, _ground_product(
                 self.coords, o.coords, 2 * fl.degree - 1, fl.ground.zero(),
                 fl.poly.coeffs))
-        # Horner in pi over o's base parts y: acc -> acc * pi + self * y
-        w, size = base.absolute_degree, fl.absolute_degree
-        xs = [_element(base, self.coords[r:r + w]) for r in range(0, size, w)]
-        acc = fl.zero()
-        for r in range(size - w, -1, -w):
-            y, acc = _element(base, o.coords[r:r + w]), acc.times_pi()
-            if not y.exact_zero:
-                acc = acc + _element(fl, [g for x in xs for g in (x * y).coords])
-        return acc
+        return _element(fl, _scalars(fl.ground, _pair_matvec(
+            [(fl.mul_rows(o), _pairs(self.coords))], fl.ground)))
 
     __rmul__ = __mul__
 

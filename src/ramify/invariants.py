@@ -15,9 +15,7 @@ otherwise undercut it; failing that is IndexUnresolved, never a guess.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base import INFINITY, vp
 from .errors import IndexUnresolved
@@ -99,71 +97,8 @@ def inseparability_profile(series, vLp) -> InsepProfile:
     return InsepProfile(p, n, a, nu, tilde, idx, vLp, series.horizon)
 
 
-def phi_tilde(profile: InsepProfile, j: int) -> Line:
-    return Line(profile.i[j], profile.p ** j)
-
-
 def phi(profile: InsepProfile, j: int) -> PLFunction:
     if not 0 <= j <= profile.nu:
         raise ValueError("j out of range")
-    return PLFunction([phi_tilde(profile, j0) for j0 in range(j + 1)])
-
-
-@dataclass(frozen=True)
-class BinomValuation:
-    value: int
-    lower_bound: int
-    equality_certified: bool
-
-
-def binom_val(b: int, c: int, p: int) -> BinomValuation:
-    """v_p of binom(b, c) with the certified bound v_p(b) - v_p(c)."""
-    if not b >= c >= 1:
-        raise ValueError("need b >= c >= 1")
-    value = vp(math.comb(b, c), p)
-    lower = vp(b, p) - vp(c, p)
-    certified = vp(b, p) >= vp(c, p) and _is_p_power(c, p)
-    if value < lower:
-        raise AssertionError("binomial bound violated")
-    if certified and value != lower:
-        raise AssertionError("binomial equality case violated")
-    return BinomValuation(value, lower, certified)
-
-
-def _is_p_power(c: int, p: int) -> bool:
-    while c % p == 0:
-        c //= p
-    return c == 1
-
-
-def phi_binomial(series, j: int, x, vLp) -> Fraction:
-    """Break function value straight from binomial valuations of the digits.
-
-    min over 0 <= j0 <= j and nonzero digits a_h of
-    h + vLp * v_p(binom(h+n, p^j0)) + p^j0 * x.  Certified only when the
-    minimum cannot be undercut by digits beyond the horizon.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    n = series.offset
-    p = series.p
-    best = None
-    for j0 in range(j + 1):
-        c = p ** j0
-        step = c * x
-        for h in series.support():
-            bv = vp(math.comb(h + n, c), p)
-            if bv == 0:
-                term = h + step
-            elif vLp == INFINITY:
-                continue
-            else:
-                term = h + vLp * bv + step
-            if best is None or term < best:
-                best = term
-    if best is None or best > series.horizon + x:
-        raise IndexUnresolved(
-            "binomial minimum not certified by horizon %d" % series.horizon
-        )
-    return best
+    return PLFunction([Line(profile.i[j0], profile.p ** j0)
+                       for j0 in range(j + 1)])

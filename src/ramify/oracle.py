@@ -33,14 +33,11 @@ the reference route of both, and the tests compare them bit for bit.
 
 from __future__ import annotations
 
-import math
-
 from .base import INFINITY, vp
 from .errors import PrecisionExhausted, TheoremViolation
 from .extension import carries_ground_precision
 # bench/spans.py counts DualElement's ring operations through this module
-from .series import (  # noqa: F401
-    DualElement, DualRing, Series, evaluate, evaluate_at_pi)
+from .series import DualElement, DualRing, evaluate_at_pi  # noqa: F401
 
 FULL = "full"
 REDUCED = "reduced"
@@ -84,16 +81,6 @@ def _field_probe(F, floor):
 def _congruent(w, n, d) -> bool:
     # eps-free parts agree by construction; only i >= 1 coefficients matter
     return all(x.has_valuation_at_least(n + d) for x in w.coeffs[1:])
-
-
-def perturbed_eval(F, floor, c, j, u=1, d=0, flavor=FULL) -> bool:
-    """Whether F(pi + u pi^(c+1) eps_j) stays congruent to F(pi) mod pi^(n+d)."""
-    if d > F.horizon:
-        raise PrecisionExhausted(
-            "congruence depth %d exceeds series horizon %d" % (d, F.horizon)
-        )
-    w = _probe(F, floor, c, u, nilpotency(floor.p, j, flavor))
-    return _congruent(w, F.offset, d)
 
 
 def capital_phi(F, floor, c, j, flavor=FULL, u=1) -> int:
@@ -155,44 +142,3 @@ def phi_grid(F, floor, cmax):
                 row.append(capital_phi(F, floor, c, j))
         grid.append(row)
     return grid
-
-
-def dpower(F, m: int):
-    """The m-th divided series: sum binom(h+n, m) a_h X^(h+n-m)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return F
-    n = F.offset
-    ground = F.ground
-    offset = max(n - m, 0)
-    top = n + F.horizon - m  # exponents run offset .. top-1
-    coeffs = []
-    for w in range(offset, top):
-        h = w + m - n
-        if h < 0:
-            coeffs.append(ground.zero())
-            continue
-        b = math.comb(h + n, m)
-        coeffs.append(F.coeffs[h] * b)
-    return Series(offset, coeffs)
-
-
-def divided_congruence(F, floor, c, j, d, flavor=FULL) -> bool:
-    """Same congruence via the divided series, an independent expansion route."""
-    if d > F.horizon:
-        raise PrecisionExhausted(
-            "congruence depth %d exceeds series horizon %d" % (d, F.horizon)
-        )
-    n = F.offset
-    pi = floor.uniformizer()
-    # dpower(F, m) is empty from m = n + horizon on, as is the probe there
-    nil = min(nilpotency(floor.p, j, flavor), n + F.horizon)
-    for m in range(1, nil):
-        g = dpower(F, m)
-        if g.horizon <= 0:
-            continue
-        term = evaluate(g, pi) * pi ** ((c + 1) * m)
-        if not term.has_valuation_at_least(n + d):
-            return False
-    return True

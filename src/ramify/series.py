@@ -17,10 +17,9 @@ evaluate is the generic Horner route at any point of any ring.  At the
 uniformizer of a floor, perturbed or not, evaluate_at_pi multiplies by
 pi by shift and fold on the ground coordinates instead; it serves every
 probe, the formal-composite check and tame, and evaluate stays the
-reference the tests compare it against, as compose_series and the
-oracle's divided_congruence keep using it.  The grid probe, at
-pi + pi*eps, is read off the powers of pi in one pass per eps-degree;
-every other point runs Horner steps.
+reference the tests compare it against, as compose_series keeps using
+it.  The grid probe, at pi + pi*eps, is read off the powers of pi in one
+pass per eps-degree; every other point runs Horner steps.
 """
 
 from __future__ import annotations
@@ -261,24 +260,6 @@ def normalize_leading_digit(series: Series) -> Series:
     ground = series.ground
     unit = ground.teichmuller(ground.residue_inverse(d0))
     return Series(series.offset, [c * unit for c in series.coeffs])
-
-
-def alternate_series(series: Series, poly) -> Series:
-    """The series plus X^n * E(X); it evaluates to the same element at pi."""
-    n = series.offset
-    if poly.degree != n:
-        raise ValueError("polynomial degree must match the series offset")
-    ground = series.ground
-    horizon = max(series.horizon, n + 1)
-    coeffs = []
-    for h in range(horizon):
-        c = series.coeffs[h] if h < series.horizon else ground.zero()
-        if h < n:
-            c = c + poly.coeffs[h]
-        elif h == n:
-            c = c + ground.one()
-        coeffs.append(c)
-    return Series(n, coeffs)
 
 
 def _scalar_root(c0, e, ground):

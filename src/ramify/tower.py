@@ -6,13 +6,6 @@ built and spot-checked against that expansion by evaluation.  The bound
 functions lambda^l are computed twice, once as envelopes of composed
 and scaled break functions and once straight from the index lines, and
 the two must agree.
-
-The final lower-bound report is deliberately neutral about direction:
-the proved inequality says the composed break function dominates the
-bound, and a pair of wild quadratics already makes the domination
-strict (composed index 3 against bound 2), so the report records
-bound, index and the observed relation instead of asserting a
-one-sided claim.
 """
 
 from __future__ import annotations
@@ -94,16 +87,6 @@ class GeReport:
             "equality": self.equality,
             "in_T_l": self.in_T_l,
         }
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    l: int
-    bound: int
-    composed_index: int
-    relation: str
-    minimizing_pairs: tuple
-    unique_pair: bool
 
 
 @dataclass(frozen=True)
@@ -350,12 +333,6 @@ def _build_lambda(T, l):
     return env
 
 
-def s_sets(T: TowerProfile, l: int, x) -> dict:
-    """Tie sets: which index lines with j+k = a attain lambda^l at x."""
-    x = Fraction(x)
-    return _tie_sets(T, l, x, lambda_l(T, l)(x))
-
-
 def _tie_sets(T, l, x, lam):
     out = {a: [] for a in range(l + 1)}
     for (j, k), ln in sorted(_pair_lines(T, l).items()):
@@ -385,18 +362,6 @@ def ge_report(T: TowerProfile, l: int, x) -> GeReport:
             "unique tie at l=%d, x=%s but no equality (%s > %s)" % (l, x, ph, lam)
         )
     return GeReport(l, x, lam, ph, S, hypothesis, in_T, equality)
-
-
-def corollary_report(T: TowerProfile, l: int) -> CorollaryReport:
-    """The index bound at x = 0, reported with the observed relation."""
-    lines = _pair_lines(T, l)
-    bound = min(ln.intercept for ln in lines.values())
-    pairs = tuple(
-        sorted(jk for jk, ln in lines.items() if ln.intercept == bound)
-    )
-    idx = T.composed.i[l]
-    relation = "<" if idx < bound else ("=" if idx == bound else ">")
-    return CorollaryReport(l, bound, idx, relation, pairs, len(pairs) == 1)
 
 
 def tame_lift_tower(floor, e: int, horizon=None) -> TameLift:

@@ -23,21 +23,20 @@ from ramify.invariants import (
     indices_closed_form,
     inseparability_profile,
     phi,
-    phi_binomial,
 )
 from ramify.oracle import FULL, REDUCED, capital_phi
 from ramify.plfun import Line, PLFunction
-from ramify.series import Series, alternate_series, evaluate, expand_digits
+from ramify.series import Series, evaluate, expand_digits
 from ramify.tower import (
     _check_formal_composite,
     compose_tower,
     default_horizon,
     ge_report,
     lambda_l,
-    s_sets,
     tame_lift_tower,
 )
 from conftest import CASE_BUILDERS, build_double_quadratic_tower
+from reference import alternate_series, phi_binomial
 
 CMAX = 6
 RATIONAL_GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
@@ -146,7 +145,7 @@ def test_acceptance_8_tower_fixture():
     assert r0.lam == 3 and r0.equality
     r1 = ge_report(T, 1, 0)
     assert r1.lam == 2 and r1.phi == 3 and not r1.equality
-    assert len(s_sets(T, 1, 0)[1]) == 2
+    assert len(r1.s_sets[1]) == 2
     assert not r1.hypothesis
     expect = PLFunction([Line(Fraction(3), 1), Line(Fraction(0), 4)])
     assert lambda_l(T, 2) == expect

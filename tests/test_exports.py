@@ -1,15 +1,20 @@
-"""Every name in ramify.__all__ has a user besides the tests.
+"""Every name in ramify.__all__, and every public function or class of
+src/ramify, has a user besides the tests.
 
-A name counts as used when code in a module of src/ramify other than the
-one that defines it names it, when README.md mentions it, or when code
-under bench/ names it.  Code means identifiers, attributes and imports:
-a mention in a docstring or a comment does not count.  Tests import what
+An export counts as used when code in a module of src/ramify other than
+the one that defines it names it, when README.md mentions it, or when
+code under bench/ names it.  A public module-level function or class
+counts as used when code of src/ramify outside its own definition names
+it, or README.md or bench/ does; a route only the tests run belongs in
+tests/reference.py.  Code means identifiers, attributes and imports: a
+mention in a docstring or a comment does not count.  Tests import what
 they check from the defining module, so they do not count either.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -19,10 +24,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ramify"
 
 
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def names_in_code(path):
     """The identifiers, attribute names and imported names of a file."""
+    return names_in(parse(path))
+
+
+def names_in(tree):
+    """The identifiers, attribute names and imported names under a node."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -34,24 +48,60 @@ def names_in_code(path):
 
 def defining_modules():
     """{exported name: the module __init__ imports it from}."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    tree = parse(PACKAGE / "__init__.py")
     return {alias.name: node.module
             for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names}
 
 
-def unused_exports():
-    home = defining_modules()
-    modules = {path.stem: names_in_code(path)
-               for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+def modules():
+    """{module stem: its syntax tree} for the modules of src/ramify but
+    __init__, whose imports are the export list."""
+    return {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+@functools.cache
+def outside_src():
+    """The names code under bench/ uses, and the text of README.md."""
     bench = set().union(*(names_in_code(path)
                           for path in (ROOT / "bench").rglob("*.py")))
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return bench, (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def used_outside_src(name):
+    """Whether code under bench/ names ``name`` or README.md mentions it."""
+    bench, readme = outside_src()
+    return name in bench or bool(re.search(r"\b%s\b" % re.escape(name),
+                                           readme))
+
+
+def unused_exports():
+    home = defining_modules()
+    used = {stem: names_in(tree) for stem, tree in modules().items()}
     return [name for name in ramify.__all__
-            if not any(name in used for stem, used in modules.items()
+            if not any(name in names for stem, names in used.items()
                        if stem != home[name])
-            and name not in bench
-            and not re.search(r"\b%s\b" % re.escape(name), readme)]
+            and not used_outside_src(name)]
+
+
+def unused_public_definitions():
+    """'module.name' of each public module-level function or class that no
+    code of src/ramify names outside its own definition, and that bench/
+    and README.md do not name either."""
+    trees = modules()
+    out = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                continue
+            elsewhere = set().union(
+                *(names_in(other) for other in tree.body if other is not node),
+                *(names_in(t) for s, t in trees.items() if s != stem))
+            if node.name not in elsewhere and not used_outside_src(node.name):
+                out.append("%s.%s" % (stem, node.name))
+    return out
 
 
 def test_every_export_is_imported_from_init():
@@ -60,3 +110,7 @@ def test_every_export_is_imported_from_init():
 
 def test_every_export_has_a_user_besides_the_tests():
     assert unused_exports() == []
+
+
+def test_every_public_definition_has_a_user_besides_the_tests():
+    assert unused_public_definitions() == []

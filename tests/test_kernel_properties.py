@@ -4,8 +4,9 @@ The reference below is the generic route the kernel replaces for ground
 scalars: the schoolbook product and the Eisenstein fold written with
 BaseScalar ``+``, ``-`` and ``*``, one scalar per term.  On a floor over
 another floor the same route over base-floor parts, down to the ground,
-is the reference for the product by Horner in pi.  Both sides must agree
-on the data, the precision and the exact-zero flag of every output.
+is the reference for the product as one pass of rows (mul_rows, built by
+shift and fold).  Both sides must agree on the data, the precision and
+the exact-zero flag of every output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify.base import BaseScalar, GroundField, _is_prime
+from ramify.base import (BaseScalar, GroundField, _is_prime, _pair_matvec,
+                         _pairs, _scalars)
 from ramify.extension import EisensteinFloor, EisensteinPoly, FloorElement
 from ramify.series import DualRing
 
@@ -93,9 +95,12 @@ def test_flat_floor_product_matches_the_scalar_route(case):
     K, a, b, cs = case
     # the kernel does not need an Eisenstein fold, so any monic one is drawn
     L = EisensteinFloor(K, EisensteinPoly(cs))
-    got = FloorElement(L, a) * FloorElement(L, b)
-    want = ref_fold(ref_convolve(a, b, 2 * len(cs) - 1, K.zero()), cs)
-    assert raw(got.coords) == raw(want)
+    x, y = FloorElement(L, a), FloorElement(L, b)
+    want = raw(ref_fold(ref_convolve(a, b, 2 * len(cs) - 1, K.zero()), cs))
+    assert raw((x * y).coords) == want
+    # the rows every probe applies, built by shift and fold
+    rows = _pair_matvec([(L.mul_rows(y), _pairs(x.coords))], K)
+    assert raw(_scalars(K, rows)) == want
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -208,8 +213,9 @@ def nested_products(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(nested_products())
 def test_nested_floor_product_matches_the_generic_fold(case):
-    """Horner in pi by shift and fold against the schoolbook product and
-    the top-down Eisenstein fold over base-floor parts."""
+    """One pass of the rows of x -> x * y, built by shift and fold, against
+    the schoolbook product and the top-down Eisenstein fold over
+    base-floor parts."""
     floor, a, b = case
     x, y = FloorElement(floor, a), FloorElement(floor, b)
     assert raw(from_parts(floor, a).coords) == raw(x.coords) == raw(a)

@@ -14,19 +14,10 @@ from ramify.oracle import (
     REDUCED,
     DualRing,
     capital_phi,
-    divided_congruence,
-    dpower,
     nilpotency,
-    perturbed_eval,
     phi_grid,
 )
-from ramify.series import (
-    Series,
-    alternate_series,
-    compose_series,
-    evaluate,
-    expand_digits,
-)
+from ramify.series import Series, compose_series, evaluate, expand_digits
 from conftest import (
     assert_grid_is_direct,
     build_double_quadratic_tower,
@@ -35,6 +26,7 @@ from conftest import (
     build_q2_sqrt2,
     short_scalar,
 )
+from reference import alternate_series, divided_congruence, dpower
 
 
 def test_nilpotency_orders():
@@ -67,8 +59,7 @@ def test_frozen_probe_values_q2_gauss(q2_gauss):
 def test_perturbed_eval_threshold(f2_quadratic):
     F, L = f2_quadratic.series, f2_quadratic.floor
     # phi^1(1) = 2: congruence holds through depth 2 and fails at 3
-    assert perturbed_eval(F, L, 1, 1, d=2)
-    assert not perturbed_eval(F, L, 1, 1, d=3)
+    assert capital_phi(F, L, 1, 1) == 2
 
 
 def test_oracle_matches_formula_everywhere(extension_case):
@@ -153,7 +144,7 @@ def test_dpower_coefficients(f2_quadratic):
 def test_probe_depth_is_capped(f2_quadratic):
     F, L = f2_quadratic.series, f2_quadratic.floor
     with pytest.raises(PrecisionExhausted):
-        perturbed_eval(F, L, 0, 1, d=F.horizon + 1)
+        divided_congruence(F, L, 0, 1, F.horizon + 1)
 
 
 def test_dual_ring_powers(f2_quadratic):

@@ -7,7 +7,6 @@ from ramify.errors import BadTameDegree, NotOneUnit
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.series import (
     Series,
-    alternate_series,
     compose_series,
     eth_root_substitute,
     evaluate,
@@ -16,6 +15,7 @@ from ramify.series import (
 )
 from ramify.tower import tame_lift_tower
 from conftest import build_double_quadratic_tower
+from reference import alternate_series
 
 
 def test_expansion_round_trip(extension_case):

@@ -10,8 +10,9 @@ Both sides are compared on every ground coordinate: data, precision and
 exact-zero flag.  Random Eisenstein floors, flat and nested, of degree 1
 to 3 over F_p((t)) and Q_p for p in {2, 3}, with coordinates and
 coefficients cut short, add to the fixed fixtures.  On a nested floor the
-product itself runs times_pi in its Horner steps, so the independent check
-of both is the generic-fold reference in test_kernel_properties.py.
+product itself is one pass of rows built by times_pi's rows, so the
+independent check of both is the generic-fold reference in
+test_kernel_properties.py.
 """
 
 from __future__ import annotations
@@ -284,6 +285,15 @@ def test_probes_match_generic_evaluation_on_the_readme_tower(mode):
     assert_probes_match(T.composed_series, T.upper_floor, cs=(0, 3))
     assert_probes_match(T.upper_series, T.upper_floor, cs=(0, 1))
     assert_probes_match(T.lower_series, T.lower_floor)
+    # w from the floor below and from the ground, as generic evaluate takes it
+    M, L = T.upper_floor, T.lower_floor
+    pi = M.uniformizer()
+    for w in (L.one() + L.uniformizer(), L.ground.uniformizer() * 3):
+        for nil in (1, 2, 4):
+            want = evaluate(T.composed_series,
+                            DualRing(M, nil).element([pi, w]))
+            got = evaluate_at_pi(T.composed_series, M, nil, w)
+            assert ground(got) == ground(want), (w, nil)
 
 
 def test_probes_match_on_a_short_eisenstein_polynomial():

@@ -19,13 +19,11 @@ from ramify.plfun import Line, PLFunction
 from ramify.series import evaluate, expand_digits
 from ramify.tower import (
     compose_tower,
-    corollary_report,
     default_horizon,
     expand_profile,
     expansion_horizon,
     ge_report,
     lambda_l,
-    s_sets,
     tame_lift_tower,
 )
 from conftest import build_double_quadratic_tower
@@ -66,9 +64,12 @@ def test_classical_composition(double_quadratic_tower):
 
 
 def test_tie_sets(double_quadratic_tower):
-    assert s_sets(double_quadratic_tower, 0, 0) == {0: [(0, 0)]}
-    assert s_sets(double_quadratic_tower, 1, 0) == {0: [], 1: [(0, 1), (1, 0)]}
-    assert s_sets(double_quadratic_tower, 2, 0) == {0: [], 1: [], 2: [(1, 1)]}
+    def s_sets(l):
+        return ge_report(double_quadratic_tower, l, 0).s_sets
+
+    assert s_sets(0) == {0: [(0, 0)]}
+    assert s_sets(1) == {0: [], 1: [(0, 1), (1, 0)]}
+    assert s_sets(2) == {0: [], 1: [], 2: [(1, 1)]}
 
 
 def test_reports(double_quadratic_tower):
@@ -96,15 +97,20 @@ def test_report_dict_schema(double_quadratic_tower):
 
 
 def test_corollary_reports(double_quadratic_tower):
-    c0 = corollary_report(double_quadratic_tower, 0)
-    assert (c0.bound, c0.composed_index, c0.relation) == (3, 3, "=")
-    assert c0.unique_pair
-    c1 = corollary_report(double_quadratic_tower, 1)
-    assert (c1.bound, c1.composed_index, c1.relation) == (2, 3, ">")
-    assert not c1.unique_pair
-    assert c1.minimizing_pairs == ((0, 1), (1, 0))
-    c2 = corollary_report(double_quadratic_tower, 2)
-    assert (c2.bound, c2.composed_index, c2.relation) == (0, 0, "=")
+    # at x = 0: lambda^l is the index bound, phi^l the composed index i_l,
+    # and the tie sets hold the pairs that attain the bound; a composed
+    # index below its bound would raise TheoremViolation
+    T = double_quadratic_tower
+
+    def at_zero(l):
+        r = ge_report(T, l, 0)
+        pairs = sorted(jk for S in r.s_sets.values() for jk in S)
+        return r.lam, r.phi, r.equality, pairs
+
+    assert at_zero(0) == (3, 3, True, [(0, 0)])
+    assert at_zero(1) == (2, 3, False, [(0, 1), (1, 0)])
+    assert at_zero(2) == (0, 0, True, [(1, 1)])
+    assert [T.composed.i[l] for l in range(3)] == [3, 3, 0]
 
 
 def test_oracle_confirms_composed_indices(double_quadratic_tower):
