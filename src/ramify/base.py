@@ -50,11 +50,12 @@ by one would give.
 
 Linear maps on ground coordinates (multiplying by an element of a floor
 over another floor, and multiplying and dividing by the uniformizer of a
-floor) run in one pair kernel, _pair_matvec, on
-(data, prec) pairs with None for an exact zero, so the hot loops build
-no scalar per step.  Given a window of w digits it settles each output
-at min(prec, w) digits and keeps prec as it is: the digit expansion
-(digit_expand_base) carries only the digits it will read, while the
+floor) run in one pair kernel, _pair_matvec, on (data, prec) pairs with
+None for an exact zero, so the hot loops build no scalar per step.  Given
+a window of w digits it settles each output at min(prec, w) digits and
+keeps prec as it is.  The low w digits of a product read only the low w
+digits of each factor, so the digit expansion (digit_expand_base) carries
+only the digits it will read, on rows kept at full precision, while the
 precision it tracks, and every refusal that reads it, is unchanged.
 """
 
@@ -630,20 +631,20 @@ def digit_expand_base(x, count: int):
     The expansion runs on the (data, prec) pairs of x's ground
     coordinates, and it carries only the ground digits that the digits
     still to come can read.  Digits k+1 ... count-1 depend on x_k = (x -
-    sum_(i<k) lift(d_i) pi^i) / pi^k only modulo pi^(count-k), so before
-    the k-th division each ground coordinate is cut to the window s =
-    min(P, ceil((count-k-1)/N) + 1) ground digits, N the floor's absolute
-    degree and P the ground precision; udiv_pairs divides on rows cut to
-    that window.  The cut changes x_k by a multiple of pi^(N s) and the
-    division keeps every such error at valuation at least count-k-1, so
-    each digit read is the one the full data gives.  Precisions and
-    exact-zero flags never read the data: they, the digit count and so
+    sum_(i<k) lift(d_i) pi^i) / pi^k only modulo pi^(count-k), so the k-th
+    division (floor.udiv_pairs) settles each ground coordinate at the
+    window s = min(P, ceil((count-k-1)/N) + 1) ground digits, N the
+    floor's absolute degree and P the ground precision, and so does the
+    digit taken off from x_k.  Dropping the ground digits from s on
+    changes x_k or x_(k+1) by a multiple of pi^(N s), and N s >= count-k,
+    so each digit read is the one the full data gives.  Precisions
+    and exact-zero flags never read the data: they, the digit count and so
     every refusal are those of dividing at full precision.
     """
     floor = x.floor
     f, n = floor.ground, floor.absolute_degree
     xs = _pairs((x,) if floor is f else x.coords)
-    out, width = [], f.prec + 1
+    out = []
     try:
         for k in range(count):
             x0 = xs[0]
@@ -656,10 +657,6 @@ def digit_expand_base(x, count: int):
             if k + 1 == count:
                 break
             s = min(f.prec, -(-(count - k - 1) // n) + 1)
-            if s < width:
-                width = s
-                xs = [None if y is None else (f._settle(y[0], s), y[1])
-                      for y in xs]
             if d:
                 # the lift is ground coordinate 0 of the digit's embedding
                 data, prec = xs[0]

@@ -182,11 +182,10 @@ def ser(value):
     return value
 
 
-def plot_samples(fun, xmax=None):
-    verts = fun.vertices()
-    top = max([x for x, _ in verts], default=Fraction(0))
-    if xmax is None:
-        xmax = max(Fraction(4), top + 1)
+def plot_samples(fun):
+    """Samples at x = 0, 1/4, ... through max(4, last vertex + 1)."""
+    top = max([x for x, _ in fun.vertices()], default=Fraction(0))
+    xmax = max(Fraction(4), top + 1)
     xs, out = Fraction(0), []
     while xs <= xmax:
         y = fun(xs)
@@ -434,16 +433,12 @@ COMMANDS = {
 }
 
 
-def run(command, job, args):
-    return COMMANDS[command](job, args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         job = load_job(args.job)
-        payload = run(args.command, job, args)
+        payload = COMMANDS[args.command](job, args)
     except VALIDATION_ERRORS as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

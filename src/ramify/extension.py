@@ -16,16 +16,15 @@ possible, which keeps valuation queries certifiable at finite precision.
 
 Multiplying by pi shifts the parts up one place and folds the old top
 back through E; dividing by pi shifts them down and folds the quotient
-of the low part back.  Both are linear in the ground coordinates, so each
-floor caches their rows (pi_rows, div_rows) and applies them in one pass
-over the (data, prec) pairs of the ground coordinates (base._pair_matvec).
-A product on a floor over another floor is one such pass too: the rows of
-x -> x * w (mul_rows) come from the base's rows of w's parts and passes
-of pi_rows, with no floor product.  A floor directly over the ground field
-keeps its one-pass product of raw integers (base._ground_product).
-The digit expansion divides on a shrinking window of ground digits, so a
-floor also keeps its division rows cut to each power-of-two window it
-has been asked for.
+of the low part by pi_base back.  Both are linear in the ground
+coordinates (that quotient being the base's own division), so each floor
+caches their rows (pi_rows, div_rows) at the ground precision and applies
+them in one pass over the (data, prec) pairs of the ground coordinates
+(base._pair_matvec).  A product on a floor over another floor is one such
+pass too: the rows of x -> x * w (mul_rows) come from the base's rows of
+w's parts and passes of pi_rows, with no floor product.  A floor directly
+over the ground field keeps its one-pass product of raw integers
+(base._ground_product).
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class EisensteinFloor:
 
     __slots__ = ("base", "poly", "degree", "p", "mode", "ground", "ceiling",
                  "absolute_degree", "weights", "name", "_pi_rows",
-                 "_div_rows", "_cut_rows", "_different")
+                 "_div_rows", "_different")
 
     def __init__(self, base, poly, name=None):
         self.base = base
@@ -93,7 +92,6 @@ class EisensteinFloor:
         self.weights = tuple(i + n * v for i in range(n) for v in below)
         self.name = name
         self._pi_rows = self._div_rows = self._different = None
-        self._cut_rows = {}  # div_rows cut to a power-of-two window
 
     # -- floor protocol ------------------------------------------------
 
@@ -186,53 +184,36 @@ class EisensteinFloor:
             self._pi_rows = rows
         return self._pi_rows
 
-    def div_rows(self, window=None):
+    def div_rows(self):
         """The rows of x -> x / pi, built once per floor: pi_rows' shift and
         fold run backwards.
 
-        With c_0 = pi_base c_0' and q = x_0 / pi_base, E(pi) = 0 gives
-        x / pi the parts x_(i+1) + c_(i+1) y below the top part y =
-        -q c_0'^-1.  Returns (top, shift, fold): top, the base's mul_rows of
-        -c_0'^-1, takes q to y; shift takes ground coordinate k + width of
-        x to k; fold takes y to the base's mul_rows of c_i in block i - 1
-        and to itself in block n - 1.
-
-        With a ``window`` below the ground precision, every entry's data
-        is cut to the power of two at or above it, its precision kept: the
-        low ``window`` digits of a product do not read the rest.  The cut
-        copies are cached on the floor, at most one per power of two.
+        With c_0 = pi_base c_0', u = -c_0'^-1 and q = x_0 / pi_base,
+        E(pi) = 0 gives x / pi the parts x_(i+1) + c_(i+1) u q below the
+        top part u q.  Returns (shift, fold): shift takes ground coordinate
+        k + width of x to k, width the base's absolute degree; fold takes q
+        to the base's mul_rows of c_i u in block i - 1 and of u in block
+        n - 1.  Rows keep the ground precision.
         """
         if self._div_rows is None:
             base, one = self.base, self.ground.one()
             width, size = base.absolute_degree, self.absolute_degree
             shift = [[(k + width, one.data, one.prec)]
                      for k in range(size - width)] + [[]] * width
+            u = -self.poly.coeffs[0].udiv(1).unit_inverse()
             fold = [row for c in self.poly.coeffs[1:]
-                    for row in base.mul_rows(c)]
-            fold += [[(r, one.data, one.prec)] for r in range(width)]
-            top = base.mul_rows(-self.poly.coeffs[0].udiv(1).unit_inverse())
-            self._div_rows = top, shift, fold
-        width = INFINITY if window is None else 1 << (window - 1).bit_length()
-        if width >= self.ground.prec:
-            return self._div_rows
-        rows = self._cut_rows.get(width)
-        if rows is None:
-            settle = self.ground._settle
-            rows = self._cut_rows[width] = tuple(
-                [[(j, settle(d, width), dp) for j, d, dp in row] for row in m]
-                for m in self._div_rows)
-        return rows
+                    for row in base.mul_rows(c * u)] + base.mul_rows(u)
+            self._div_rows = shift, fold
+        return self._div_rows
 
     def udiv_pairs(self, xs, window=None):
         """x / pi on the (data, prec) pairs of x's ground coordinates, None
-        for an exact zero: the low base part divided by pi_base, then two
-        passes of div_rows.  With a ``window`` every output's data is
-        settled at the window, on rows cut to it (base.digit_expand_base)."""
-        base, ground = self.base, self.ground
-        q = base.udiv_pairs(xs[:base.absolute_degree], window)
-        top, shift, fold = self.div_rows(window)
-        y = _pair_matvec([(top, q)], ground, window)
-        return _pair_matvec([(shift, xs), (fold, y)], ground, window)
+        for an exact zero: the low base part divided by pi_base, then one
+        pass of div_rows.  With a ``window`` every output's data is settled
+        at the window (base.digit_expand_base)."""
+        q = self.base.udiv_pairs(xs[:self.base.absolute_degree], window)
+        shift, fold = self.div_rows()
+        return _pair_matvec([(shift, xs), (fold, q)], self.ground, window)
 
     def __repr__(self):
         return "%r[pi] deg %d" % (self.base, self.degree)
@@ -351,12 +332,12 @@ class FloorElement(RingElement):
         """self / pi^k; needs valuation >= k, provably.
 
         Each division is times_pi run backwards (floor.udiv_pairs): the
-        low base part is divided by pi_base, and two passes of the floor's
-        cached div_rows over the (data, prec) pairs give the top part and
-        then the shift and fold.  The data, exact-zero flags and (but for
-        exact zeros, which get the ground precision) precisions are those
-        of the route of generic products y = -(x_0 / pi_base) c_0'^-1,
-        then x_i + c_i y, which the tests keep as the reference.
+        low base part is divided by pi_base, and one pass of the floor's
+        cached div_rows over the (data, prec) pairs shifts the parts down
+        and folds that quotient back.  The data, exact-zero flags and (but
+        for exact zeros, which get the ground precision) precisions are
+        those of the route of generic products y = -(x_0 / pi_base)
+        c_0'^-1, then x_i + c_i y, which the tests keep as the reference.
         """
         fl, xs = self.floor, _pairs(self.coords)
         for _ in range(k):

@@ -2,7 +2,7 @@
 
 The probe ring is floor[eps] with eps nilpotent: order p^(j+1) for the
 full flavor, p^j + 1 for the reduced one.  It is the truncated
-power-series ring DualRing of ramify.series, re-exported here.
+power-series ring DualRing of ramify.series.
 Evaluating the digit series at pi + u*pi^(c+1)*eps and asking how deep
 the result stays congruent to its eps-free part measures the j-th break
 function at c without ever touching the index recursion, which is what
@@ -36,8 +36,9 @@ from __future__ import annotations
 from .base import INFINITY, vp
 from .errors import PrecisionExhausted, TheoremViolation
 from .extension import carries_ground_precision
-# bench/spans.py counts DualElement's ring operations through this module
-from .series import DualElement, DualRing, evaluate_at_pi  # noqa: F401
+# bench/spans.py counts DualElement's ring operations through this module,
+# so it stays imported here though no routine below names it
+from .series import DualElement, evaluate_at_pi  # noqa: F401
 
 FULL = "full"
 REDUCED = "reduced"

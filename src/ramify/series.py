@@ -287,22 +287,23 @@ def check_tame_degree(e, p, n):
 def eth_root_substitute(series, e: int) -> Series:
     """The series T with T(X)^e = S(X^e), for gcd(e, p*n) = 1.
 
-    S = sum a_h X^(n+h) gives S(X^e) = X^(ne) * g(X) with g supported on
-    multiples of e; T = X^n * g(X)^(1/e) keeps the offset n.  Each
-    coefficient of g^(1/e) is solved from the e-th power of those below.
+    S = sum a_h X^(n+h) gives S(X^e) = X^(ne) * h(X^e) with h(Y) =
+    sum a_h Y^h, so T = X^n * r(X^e) with r = h^(1/e), which keeps the
+    offset n.  Each of the horizon coefficients of r is solved from the
+    e-th power of those below; T's coefficients at powers of X that e
+    does not divide are exact zeros.
     """
     n = series.offset
     ground = series.ground
-    p = ground.p
-    check_tame_degree(e, p, n)
-    g = [ground.zero()] * (e * (series.horizon - 1) + 1)
-    g[::e] = series.coeffs
-    t0 = _scalar_root(g[0], e, ground)
-    lead_inv = (t0 ** (e - 1) * e).unit_inverse()
-    ts = [t0]
-    for w in range(1, len(g)):
-        cur = DualRing(ground, w + 1).element(ts) ** e
-        ts.append((g[w] - cur.coeffs[w]) * lead_inv)
+    check_tame_degree(e, ground.p, n)
+    r0 = _scalar_root(series.coeffs[0], e, ground)
+    lead_inv = (r0 ** (e - 1) * e).unit_inverse()
+    rs = [r0]
+    for k in range(1, series.horizon):
+        cur = DualRing(ground, k + 1).element(rs) ** e
+        rs.append((series.coeffs[k] - cur.coeffs[k]) * lead_inv)
+    ts = [ground.zero()] * (e * (series.horizon - 1) + 1)
+    ts[::e] = rs
     return Series(n, ts)
 
 

@@ -10,7 +10,9 @@ tests can check that the two agree:
   valuations of the digits, against the index recursion behind phi;
   binom_val checks the binomial bound it rests on;
 * alternate_series adds X^n E(X) to a digit series: a second series with
-  the same value at pi, on which every probe must answer the same.
+  the same value at pi, on which every probe must answer the same;
+* ref_eth_root_substitute solves the tame root coefficient by coefficient
+  in X, against eth_root_substitute, which solves it in Y = X^e.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from ramify.base import INFINITY, vp
 from ramify.errors import IndexUnresolved, PrecisionExhausted
 from ramify.oracle import FULL, nilpotency
-from ramify.series import Series, evaluate
+from ramify.series import (DualRing, Series, _scalar_root, check_tame_degree,
+                           evaluate)
 
 
 def dpower(F, m: int):
@@ -143,3 +146,21 @@ def alternate_series(series: Series, poly) -> Series:
             c = c + ground.one()
         coeffs.append(c)
     return Series(n, coeffs)
+
+
+def ref_eth_root_substitute(series: Series, e: int) -> Series:
+    """eth_root_substitute by solving every coefficient of T in X: S(X^e) =
+    X^(ne) g(X) with g supported on multiples of e, and each coefficient of
+    g^(1/e) from the e-th power of all those below."""
+    n = series.offset
+    ground = series.ground
+    check_tame_degree(e, ground.p, n)
+    g = [ground.zero()] * (e * (series.horizon - 1) + 1)
+    g[::e] = series.coeffs
+    t0 = _scalar_root(g[0], e, ground)
+    lead_inv = (t0 ** (e - 1) * e).unit_inverse()
+    ts = [t0]
+    for w in range(1, len(g)):
+        cur = DualRing(ground, w + 1).element(ts) ** e
+        ts.append((g[w] - cur.coeffs[w]) * lead_inv)
+    return Series(n, ts)

@@ -9,15 +9,9 @@ from ramify.base import GroundField
 from ramify.errors import PrecisionExhausted
 from ramify.extension import attach_eisenstein
 from ramify.invariants import phi
-from ramify.oracle import (
-    FULL,
-    REDUCED,
-    DualRing,
-    capital_phi,
-    nilpotency,
-    phi_grid,
-)
-from ramify.series import Series, compose_series, evaluate, expand_digits
+from ramify.oracle import FULL, REDUCED, capital_phi, nilpotency, phi_grid
+from ramify.series import (DualRing, Series, compose_series, evaluate,
+                           expand_digits)
 from conftest import (
     assert_grid_is_direct,
     build_double_quadratic_tower,

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify.base import GroundField
 from ramify.errors import BadTameDegree, NotOneUnit
@@ -14,8 +18,9 @@ from ramify.series import (
     normalize_leading_digit,
 )
 from ramify.tower import tame_lift_tower
-from conftest import build_double_quadratic_tower
-from reference import alternate_series
+from conftest import _outcome, build_double_quadratic_tower, short_scalar
+from reference import alternate_series, ref_eth_root_substitute
+from test_times_pi import ground_field, scalars
 
 
 def test_expansion_round_trip(extension_case):
@@ -83,6 +88,35 @@ def test_eth_root_requires_one_unit_lead(f3_cubic):
     assert S.coeffs[0].residue() == 2
     with pytest.raises(NotOneUnit):
         eth_root_substitute(S, 2)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_eth_root_matches_the_reference_in_x(data):
+    # data, precision and exact-zero flag of every coefficient, or the same
+    # refusal; the lead is a 1-unit, cut short or not, or any scalar
+    K = ground_field(data.draw(st.sampled_from(["equal", "mixed"])),
+                     data.draw(st.sampled_from([2, 3, 5])),
+                     data.draw(st.integers(3, 24)))
+    n = data.draw(st.integers(1, 6))
+    e = data.draw(st.sampled_from(
+        [e for e in range(1, 12) if math.gcd(e, K.p * n) == 1]))
+    if data.draw(st.integers(0, 3)):
+        lead = K.one() + K.uniformizer() * data.draw(scalars(K))
+        if data.draw(st.booleans()):
+            lead = short_scalar(lead, data.draw(st.integers(1, lead.prec)))
+    else:
+        lead = data.draw(scalars(K, ("exact_zero", "zero", "digits", "short")))
+    rest = data.draw(st.lists(scalars(K, ("exact_zero", "zero", "digits",
+                                          "short")), max_size=6))
+    S = Series(n, [lead] + rest)
+
+    def coefficients(solve):
+        return _outcome(lambda: [(c.data, c.prec, c.exact_zero)
+                                 for c in solve(S, e).coeffs])
+
+    want = coefficients(ref_eth_root_substitute)
+    assert coefficients(eth_root_substitute) == want
 
 
 @pytest.mark.parametrize("mode", ["equal", "mixed"])

@@ -2,8 +2,9 @@
 built on them.
 
 ``FloorElement.times_pi`` must give what ``x * floor.uniformizer()`` gives,
-``FloorElement.udiv`` what the direct route of generic products gives
-(``ref_udiv1`` below), and ``series.evaluate_at_pi`` (every probe of the
+``FloorElement.udiv``, one pass of the floor's cached division rows per
+division, what the direct route of generic products gives (``ref_udiv1``
+below), and ``series.evaluate_at_pi`` (every probe of the
 oracle, the grid probe at every nilpotency, the formal composite check,
 ``tame``) what the generic ``series.evaluate`` gives at the same point.
 Both sides are compared on every ground coordinate: data, precision and
@@ -139,7 +140,9 @@ def _ref_div(x):
 
 def ref_udiv1(x):
     """x / pi by generic products: with E(pi) = 0 and c_0 = pi_base c_0',
-    y = -(x_0 / pi_base) c_0'^-1, and part i - 1 gets x_i + c_i y."""
+    y = -(x_0 / pi_base) c_0'^-1, and part i - 1 gets x_i + c_i y.  The
+    one pass of div_rows forms c_i (-c_0'^-1) first and applies it to
+    x_0 / pi_base; its data, precisions and flags must still be these."""
     fl = x.floor
     base, cs, xs = fl.base, fl.poly.coeffs, x.coords
     w = base.absolute_degree
