@@ -439,10 +439,7 @@ def main(argv=None) -> int:
     try:
         job = load_job(args.job)
         payload = COMMANDS[args.command](job, args)
-    except VALIDATION_ERRORS as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except OSError as ex:
+    except (*VALIDATION_ERRORS, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
     except PrecisionRefusal as ex:

@@ -23,12 +23,13 @@ c = 0 with nilpotency p^(nu+1) therefore holds every row:
 phi_grid reads a field's rows that way; capital_phi probes one (j, c)
 directly and stays the reference it is tested against.
 
-Every probe runs series.evaluate_at_pi, which multiplies by pi by shift
-and fold (the floor's rows that FloorElement.times_pi applies) and
-forms no generic floor product.  The grid probe, at c = 0 and u = 1,
-reads each eps-coefficient off the powers of pi in one pass; a probe at
-any other c or u runs Horner steps.  The generic series.evaluate stays
-the reference route of both, and the tests compare them bit for bit.
+Every probe runs series.evaluate_at_pi, which reads each eps-coefficient
+off the powers of pi, built by shift and fold (the floor's rows that
+FloorElement.times_pi applies), and forms no generic floor product.  At
+any c or u other than the grid probe's c = 0 and u = 1, the eps^m
+coefficient then takes m passes of the rows of u*pi^(c+1).  The generic
+series.evaluate stays the reference route, and the tests compare the
+two bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _probe(F, floor, c, u, nil):
         u = floor.embed(u)
     if u.residue() == 0:
         raise ValueError("u must be a unit")
-    w = None  # pi: the grid probe, read off the powers of pi
+    w = None  # pi: the grid probe, folded into the powers of pi
     if not grid:
         w = u
         for _ in range(c + 1):

@@ -14,20 +14,19 @@ it; here the composite of two series is one evaluation in it, and the
 e-th root is solved digit by digit with its powers.
 
 evaluate is the generic Horner route at any point of any ring.  At the
-uniformizer of a floor, perturbed or not, evaluate_at_pi multiplies by
-pi by shift and fold on the ground coordinates instead; it serves every
-probe, the formal-composite check and tame, and evaluate stays the
-reference the tests compare it against, as compose_series keeps using
-it.  The grid probe, at pi + pi*eps, is read off the powers of pi in one
-pass per eps-degree; every other point runs Horner steps.
+uniformizer of a floor, perturbed or not, evaluate_at_pi reads the
+series off the powers of pi, built by shift and fold on the ground
+coordinates, in one pass per eps-degree; it serves every probe, the
+formal-composite check and tame, and evaluate stays the reference the
+tests compare it against, as compose_series keeps using it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .base import (RingElement, _convolve, _pair_matvec, _pairs, _scalar,
-                   _scalars, digit_expand_base)
+from .base import (RingElement, _convolve, _pair_matvec, _pairs, _scalars,
+                   digit_expand_base)
 from .extension import FloorElement
 from .errors import BadTameDegree, NotOneUnit, PrecisionExhausted
 
@@ -172,83 +171,62 @@ def evaluate(series, x):
 
 
 def evaluate_at_pi(series, floor, nil=None, w=None):
-    """Evaluation at the uniformizer pi of ``floor``, by shift and fold.
+    """Evaluation at the uniformizer pi of ``floor``, on the powers of pi.
 
     Without ``nil`` it gives F(pi) on the floor; with it, F(pi + w*eps)
-    in DualRing(floor, nil), w = pi when omitted.  At w = pi and nil >= 2
-    that is the grid probe, read off the powers of pi (_at_pi_powers).
-    Otherwise it is Horner: a step takes the eps-coefficients a_k to
-    a_k pi + a_(k-1) w, the closing pi^offset being ``offset`` further
-    steps.  Both products are matrices on the ground coordinates:
-    times_pi's rows, built once per floor, and w's, built once per call,
-    so a step forms no floor product at all.  Data, precisions and
-    exact-zero flags are those of evaluate(series, z) at the same z,
-    which stays the reference route.
-    """
-    if w is None and nil is not None and nil >= 2:
-        return _at_pi_powers(series, floor, nil)
-    ground = floor.ground
-    rows = floor.pi_rows()
-    w_rows = rows if w is None else floor.mul_rows(w)
-    top = 1 if nil is None else nil
-    acc = []  # (data, prec) pairs of the eps-coefficients; the rest are 0
-    for c in list(reversed(series.coeffs)) + [None] * series.offset:
-        new = [_pair_matvec([(rows, a)], ground) for a in acc[:1]]
-        new += [_pair_matvec([(w_rows, b), (rows, a)], ground)
-                for b, a in zip(acc, acc[1:])]
-        if 0 < len(acc) < top:
-            new.append(_pair_matvec([(w_rows, acc[-1])], ground))
-        if c is not None:
-            if not new:
-                new = [[None] * floor.absolute_degree]
-            if not c.exact_zero:
-                a = new[0][0]
-                a = c if a is None else _scalar(ground, *a, False) + c
-                new[0][0] = (a.data, a.prec)
-        acc = new
-    out = [FloorElement(floor, _scalars(ground, a)) for a in acc]
-    if nil is None:
-        return out[0] if out else floor.zero()
-    return DualRing(floor, nil).element(out)
+    in DualRing(floor, nil), w = pi when omitted.  The eps^m coefficient
+    is w^m sum_h binom(n+h, m) c_h pi^(n+h-m), n the offset.  Passes of
+    the floor's pi_rows on (data, prec) pairs form pi^0 ... pi^(n+H-1),
+    and as they go the rows are built: row r of drop d lists
+    (i, data, prec) of coordinate r of pi^(n+h-d), for the i-th h whose
+    c_h is not an exact zero.  s_m is c_h times the binomial as a scalar
+    at the ground precision that is never an exact zero, even when p
+    divides it, all formed in one pass.  Each coefficient is one pass of
+    the rows of drop m on s_m, then m passes of w's mul_rows; with w = pi,
+    w^m folds into the powers, the rows of drop 0 serve every m and no
+    w pass runs.
 
-
-def _at_pi_powers(series, floor, nil):
-    """F(pi + pi*eps) in DualRing(floor, nil): one pass per eps-degree.
-
-    Its eps^m coefficient is sum_h binom(n+h, m) c_h pi^(n+h), n the
-    offset, so the ground coordinates of pi^n ... pi^(n+H-1), built by
-    passes of the floor's pi_rows on (data, prec) pairs, make the rows:
-    row r lists (h, data, prec) of coordinate r of pi^(n+h) where that is
-    not an exact zero.  Each coefficient is one matvec of them on s_m:
-    s_0 = c and, for m >= 1, c_h times the binomial as a scalar at the
-    ground precision that is never an exact zero, even when p divides it,
-    or an exact zero when n+h < m.  One more matvec forms every such
-    product.
-
-    This is bit for bit what Horner gives.  With w = pi every Horner step
-    applies the same rows to every eps-coefficient, so c_h reaches
-    coordinate r of the eps^m coefficient along exactly the paths of
-    n+h steps that reach coordinate r of pi^(n+h), whichever m of them
-    move up in eps, and both routes take the least precision along them.
-    For w other than pi the order of the factors can change which terms
-    are live, so Horner serves those.
+    Data, precisions and exact-zero flags are those of evaluate(series,
+    z) at the same z, which stays the reference route.  An output's
+    exact-zero flag says whether any of its products is live, and its
+    precision is the least among them: the sum and product of the
+    semiring of precisions and the exact zero, with min for both and the
+    exact zero absorbing in the product.  Reduction mod E is linear in
+    it, so every grouping of the same factors gives the same flags and
+    precisions, and the data agree modulo that precision.
     """
     ground, n, H = floor.ground, series.offset, series.horizon
-    pi_rows = floor.pi_rows()
-    powers = [_pairs(floor.one().coords)]
-    for _ in range(n + H - 1):
-        powers.append(_pair_matvec([(pi_rows, powers[-1])], ground))
-    powers = powers[n:]
-    rows = [[(h, *x[r]) for h, x in enumerate(powers) if x[r] is not None]
-            for r in range(floor.absolute_degree)]
-    # s_1 ... s_(top-1) in one pass; row (m, h) is empty when n+h < m
-    top = min(nil, n + H)
-    binom = [[(h, ground.from_int(math.comb(n + h, m)).data, ground.prec)]
-             if n + h >= m else [] for m in range(1, top) for h in range(H)]
-    cs = _pairs(series.coeffs)
+    top = 1 if nil is None else min(nil, n + H)
+    live = [h for h, c in enumerate(series.coeffs) if not c.exact_zero]
+    at = {h: i for i, h in enumerate(live)}
+    drops = range(1 if w is None else top)
+    rows = [[[] for _ in range(floor.absolute_degree)] for _ in drops]
+    pi_rows, x = floor.pi_rows(), _pairs(floor.one().coords)
+    for k in range(n + H):
+        if k:
+            x = _pair_matvec([(pi_rows, x)], ground)
+        for d in drops:
+            i = at.get(k + d - n)
+            if i is not None:
+                for r, y in enumerate(x):
+                    if y is not None:
+                        rows[d][r].append((i, *y))
+    # s_1 ... s_(top-1) in one pass; row (m, i) is empty when n+h < m
+    binom = [[(i, ground.from_int(math.comb(n + h, m)).data, ground.prec)]
+             if n + h >= m else [] for m in range(1, top)
+             for i, h in enumerate(live)]
+    cs, L = _pairs(series.coeffs[h] for h in live), len(live)
     s = cs + _pair_matvec([(binom, cs)], ground)
-    out = [FloorElement(floor, _scalars(ground, _pair_matvec(
-        [(rows, s[m * H:m * H + H])], ground))) for m in range(top)]
+    w_rows = None if w is None else floor.mul_rows(w)
+    out = []
+    for m in range(top):
+        d = 0 if w is None else m
+        a = _pair_matvec([(rows[d], s[m * L:m * L + L])], ground)
+        for _ in range(d):
+            a = _pair_matvec([(w_rows, a)], ground)
+        out.append(FloorElement(floor, _scalars(ground, a)))
+    if nil is None:
+        return out[0]
     return DualRing(floor, nil).element(out)
 
 

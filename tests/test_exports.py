@@ -9,6 +9,10 @@ it, or README.md or bench/ does; a route only the tests run belongs in
 tests/reference.py.  Code means identifiers, attributes and imports: a
 mention in a docstring or a comment does not count.  Tests import what
 they check from the defining module, so they do not count either.
+
+Every name a module of src/ramify imports is used in that module, listed
+in its __all__, or marked ``# noqa: F401`` on its import statement; with
+no linter at hand, this is the unused-import check.
 """
 
 from __future__ import annotations
@@ -104,6 +108,33 @@ def unused_public_definitions():
     return out
 
 
+def unused_imports():
+    """'module.name' of each name a module of src/ramify imports and does
+    not use, list in its __all__ or mark ``# noqa: F401``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)
+                    for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in
+                           lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and name not in exported:
+                    out.append("%s.%s" % (path.stem, name))
+    return out
+
+
 def test_every_export_is_imported_from_init():
     assert set(ramify.__all__) <= set(defining_modules())
 
@@ -114,3 +145,7 @@ def test_every_export_has_a_user_besides_the_tests():
 
 def test_every_public_definition_has_a_user_besides_the_tests():
     assert unused_public_definitions() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -224,11 +224,18 @@ def assert_probes_match(F, floor, cs=range(4)):
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_probes_match_generic_evaluation_on_random_floors(data):
-    floor = data.draw(floors())
+    floor = data.draw(floors(steps=3))
     K = floor.ground
     coeffs = data.draw(st.lists(scalars(K), min_size=1, max_size=4))
-    F = Series(data.draw(st.integers(1, 4)), coeffs)
+    # offset 0 is the difference series the formal-composite check evaluates
+    F = Series(data.draw(st.integers(0, 4)), coeffs)
     assert_probes_match(F, floor, cs=(0, data.draw(st.integers(1, 3))))
+    # any w of the floor, its coordinates short, zero or exact zeros
+    pi = floor.uniformizer()
+    w = data.draw(elements(floor, ("exact_zero", "zero", "digits", "short")))
+    for nil in (1, 2, 3):
+        want = evaluate(F, DualRing(floor, nil).element([pi, w]))
+        assert ground(evaluate_at_pi(F, floor, nil, w)) == ground(want), nil
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -265,6 +272,12 @@ def test_grid_probe_keeps_a_binomial_that_p_divides_live(monkeypatch):
     # one pass per eps-degree
     assert passes == {"power": F.offset + F.horizon - 1,
                       "coefficient": 1 + 4}
+    # with w given, the same powers, then the binomials, one pass per
+    # eps-degree and m passes of w's rows on the eps^m coefficient
+    passes.update(power=0, coefficient=0)
+    evaluate_at_pi(F, floor, 4, floor.one() + floor.uniformizer())
+    assert passes == {"power": F.offset + F.horizon - 1,
+                      "coefficient": 1 + 4 + 4 * 3 // 2}
     monkeypatch.undo()
     assert [(g.data, g.exact_zero) for g in got.coeffs[1].coords] == [
         (0, False), (0, False)]
