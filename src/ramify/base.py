@@ -49,11 +49,14 @@ over the products it sums, which is what adding the scalar products one
 by one would give.
 
 Linear maps on ground coordinates (multiplying by an element of a floor
-over another floor, and multiplying and dividing by the uniformizer of a
-floor) run in one pair kernel, _pair_matvec, on (data, prec) pairs with
-None for an exact zero, so the hot loops build no scalar per step.  Given
-a window of w digits it settles each output at min(prec, w) digits and
-keeps prec as it is.  The low w digits of a product read only the low w
+over another floor, and the fold of multiplying and dividing by the
+uniformizer of a floor) run in one pair kernel, _pair_matvec, on (data,
+prec) pairs with None for an exact zero, so the hot loops build no scalar
+per step.  Multiplying or dividing by the uniformizer is a move of the
+pairs by one block and one fold pass that starts each output from its
+moved pair, so no matrix entry is the constant one.  Given a window of w
+digits the kernel settles each output at min(prec, w) digits and keeps
+prec as it is.  The low w digits of a product read only the low w
 digits of each factor, so the digit expansion (digit_expand_base) carries
 only the digits it will read, on rows kept at full precision, while the
 precision it tracks, and every refusal that reads it, is unchanged.
@@ -195,17 +198,21 @@ def _ground_product(a, b, out_len, zero, fold=()):
             for v, m in zip(acc[:n], pr)]
 
 
-def _pair_matvec(terms, field, window=None):
-    """The sum of M x over (M, x) in terms, on (data, prec) pairs.
+def _pair_matvec(rows, x, field, window=None, start=None):
+    """M x on (data, prec) pairs, output k started from start[k].
 
     M is given by rows: rows[k] lists (j, d, dp) for each nonzero entry
     M[k][j], d its data at precision dp; x lists the pair (data, prec) of
     each ground coordinate, or None for an exact zero.  As in
     _ground_product, each product of an entry and an x_j that is not an
-    exact zero bounds its output's precision, and an output with no such
-    product is None.  Output k is (data, q), q the least precision of its
-    products; with a ``window`` its data is settled at min(q, window)
-    digits, the low digits of what the full data would be.
+    exact zero bounds its output's precision.  ``start`` lists a pair or
+    None per output, added before the products: the moved pairs of x * pi
+    and x / pi, so no entry multiplies by one.  A product by one kept the
+    pair's own precision, as no pair the package makes is above the
+    field's.  An output with no start and no product is None.  Output k
+    is (data, q), q the least precision of its terms; with a ``window``
+    its data is settled at min(q, window) digits, the low digits of what
+    the full data would be.
     """
     f = field
     xor = f.mode == "equal" and f.p == 2
@@ -213,24 +220,24 @@ def _pair_matvec(terms, field, window=None):
     ppow, budget = f._ppow, f._budget
     cap = f.prec if window is None else window
     out = []
-    for k in range(len(terms[0][0])):
-        v, q, since = 0, INFINITY, 0  # since: products since the last reduce
-        for rows, x in terms:
-            for j, d, dp in rows[k]:
-                y = x[j]
-                if y is None:
-                    continue
-                if since == budget:
-                    v, since = f._settle(v, cap), 0
-                since += 1
-                yd, yp = y
-                if xor:
-                    v ^= yd * d
-                else:
-                    v += yd * d
-                m = yp if yp < dp else dp
-                if m < q:
-                    q = m
+    for k, row in enumerate(rows):
+        v, q = start[k] if start and start[k] else (0, INFINITY)
+        since = 0  # products since the last reduce; a start is a remainder
+        for j, d, dp in row:
+            y = x[j]
+            if y is None:
+                continue
+            if since == budget:
+                v, since = f._settle(v, cap), 0
+            since += 1
+            yd, yp = y
+            if xor:
+                v ^= yd * d
+            else:
+                v += yd * d
+            m = yp if yp < dp else dp
+            if m < q:
+                q = m
         if q == INFINITY:
             out.append(None)
             continue
@@ -359,9 +366,6 @@ class GroundField:
         if isinstance(x, BaseScalar) and x.field is self:
             return x
         raise TypeError("cannot embed %r into %r" % (x, self))
-
-    def residue_inverse(self, r: int) -> int:
-        return pow(r, -1, self.p)
 
     def mul_rows(self, w):
         """The 1 x 1 matrix of x -> x * w, as EisensteinFloor.mul_rows."""

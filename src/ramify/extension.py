@@ -14,17 +14,17 @@ mod N, so the valuation of an element is the exact minimum of
 v(b_r) + N*v_ground(x_r): no cancellation between coordinates is
 possible, which keeps valuation queries certifiable at finite precision.
 
-Multiplying by pi shifts the parts up one place and folds the old top
-back through E; dividing by pi shifts them down and folds the quotient
-of the low part by pi_base back.  Both are linear in the ground
-coordinates (that quotient being the base's own division), so each floor
-caches their rows (pi_rows, div_rows) at the ground precision and applies
-them in one pass over the (data, prec) pairs of the ground coordinates
-(base._pair_matvec).  A product on a floor over another floor is one such
-pass too: the rows of x -> x * w (mul_rows) come from the base's rows of
-w's parts and passes of pi_rows, with no floor product.  A floor directly
-over the ground field keeps its one-pass product of raw integers
-(base._ground_product).
+Multiplying by pi moves the parts up one place and folds the old top
+back through E; dividing by pi moves them down and folds the quotient of
+the low part by pi_base back.  On the (data, prec) pairs of the ground
+coordinates the move is a list slice, and the fold is linear (that
+quotient being the base's own division), so each floor caches the fold's
+rows (pi_rows, div_rows) at the ground precision and applies them in one
+pass that starts each output from the moved pair (base._pair_matvec).  A
+product on a floor over another floor is one pass of rows too: the rows
+of x -> x * w (mul_rows) come from the base's rows of w's parts and
+times_pi_pairs, with no floor product.  A floor directly over the ground
+field keeps its one-pass product of raw integers (base._ground_product).
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class EisensteinFloor:
         return x if below is self else _element(
             self, gs + (self.ground.zero(),) * (self.absolute_degree - len(gs)))
 
-    def residue_inverse(self, r):
-        return self.ground.residue_inverse(r)
-
     def mul_rows(self, w):
         """The matrix of x -> x * w on ground coordinates, by rows, for w
         on this floor or any below it.
@@ -144,11 +141,11 @@ class EisensteinFloor:
 
         Built by structure, with no floor product: column s of the base's
         mul_rows of each part w_i holds the coordinates of w_i b_s, so
-        together they give w b_s; passes of pi_rows on that column give
-        w pi^i b_s, column i * width + s.
+        together they give w b_s; i passes of times_pi_pairs on that
+        column give w pi^i b_s, column i * width + s.
         """
         w = self.embed(w)
-        base, ground = self.base, self.ground
+        base = self.base
         width, size = base.absolute_degree, self.absolute_degree
         cols = [[None] * size for _ in range(width)]
         for r in range(0, size, width):
@@ -157,63 +154,57 @@ class EisensteinFloor:
                     gs[0] if base.base is None else _element(base, gs))):
                 for s, d, dp in row:
                     cols[s][r + k] = (d, dp)
-        rows = self.pi_rows()
         for _ in range(size - width):
-            cols.append(_pair_matvec([(rows, cols[-width])], ground))
+            cols.append(self.times_pi_pairs(cols[-width]))
         return [[(j, *col[k]) for j, col in enumerate(cols)
                  if col[k] is not None] for k in range(size)]
 
     def pi_rows(self):
-        """mul_rows of the uniformizer, built once per floor by shift and fold.
-
-        Ground coordinate k takes coordinate k - width times one, width
-        the base's absolute degree, and the old top's coordinates fold
-        into the place of each c_i through the base's mul_rows of -c_i:
-        width * degree products on the base in all.
+        """The fold of x -> x * pi, built once per floor: the rows that take
+        the old top part, the last width ground coordinates, width the
+        base's absolute degree, to its multiple of -c_i in block i.  Row
+        i * width + r is row r of the base's mul_rows of -c_i.
         """
         if self._pi_rows is None:
-            base, one = self.base, self.ground.one()
-            width, size = base.absolute_degree, self.absolute_degree
-            rows = [[] for _ in range(width)]
-            rows += [[(k - width, one.data, one.prec)]
-                     for k in range(width, size)]
-            for i, c in enumerate(self.poly.coeffs):
-                for r, row in enumerate(base.mul_rows(-c)):
-                    rows[i * width + r] += [(size - width + a, d, dp)
-                                            for a, d, dp in row]
-            self._pi_rows = rows
+            self._pi_rows = [row for c in self.poly.coeffs
+                             for row in self.base.mul_rows(-c)]
         return self._pi_rows
 
+    def times_pi_pairs(self, xs):
+        """x * pi on the (data, prec) pairs of x's ground coordinates, None
+        for an exact zero: the parts move up one block, and one pass of
+        pi_rows folds the old top back through E on top of them."""
+        width = self.base.absolute_degree
+        return _pair_matvec(self.pi_rows(), xs[-width:], self.ground,
+                            start=[None] * width + xs[:-width])
+
     def div_rows(self):
-        """The rows of x -> x / pi, built once per floor: pi_rows' shift and
-        fold run backwards.
+        """The fold of x -> x / pi, built once per floor: pi_rows run
+        backwards.
 
         With c_0 = pi_base c_0', u = -c_0'^-1 and q = x_0 / pi_base,
         E(pi) = 0 gives x / pi the parts x_(i+1) + c_(i+1) u q below the
-        top part u q.  Returns (shift, fold): shift takes ground coordinate
-        k + width of x to k, width the base's absolute degree; fold takes q
-        to the base's mul_rows of c_i u in block i - 1 and of u in block
-        n - 1.  Rows keep the ground precision.
+        top part u q.  The rows take q to the base's mul_rows of c_i u in
+        block i - 1 and of u in block n - 1, at the ground precision.
         """
         if self._div_rows is None:
-            base, one = self.base, self.ground.one()
-            width, size = base.absolute_degree, self.absolute_degree
-            shift = [[(k + width, one.data, one.prec)]
-                     for k in range(size - width)] + [[]] * width
+            base = self.base
             u = -self.poly.coeffs[0].udiv(1).unit_inverse()
             fold = [row for c in self.poly.coeffs[1:]
-                    for row in base.mul_rows(c * u)] + base.mul_rows(u)
-            self._div_rows = shift, fold
+                    for row in base.mul_rows(c * u)]
+            self._div_rows = fold + base.mul_rows(u)
         return self._div_rows
 
     def udiv_pairs(self, xs, window=None):
         """x / pi on the (data, prec) pairs of x's ground coordinates, None
-        for an exact zero: the low base part divided by pi_base, then one
-        pass of div_rows.  With a ``window`` every output's data is settled
-        at the window (base.digit_expand_base)."""
-        q = self.base.udiv_pairs(xs[:self.base.absolute_degree], window)
-        shift, fold = self.div_rows()
-        return _pair_matvec([(shift, xs), (fold, q)], self.ground, window)
+        for an exact zero: the low base part divided by pi_base, the other
+        parts moved down one block, and one pass of div_rows folding the
+        quotient back on top of them.  With a ``window`` every output's
+        data is settled at the window (base.digit_expand_base)."""
+        width = self.base.absolute_degree
+        q = self.base.udiv_pairs(xs[:width], window)
+        return _pair_matvec(self.div_rows(), q, self.ground, window,
+                            start=xs[width:] + [None] * width)
 
     def __repr__(self):
         return "%r[pi] deg %d" % (self.base, self.degree)
@@ -271,19 +262,20 @@ class FloorElement(RingElement):
                 self.coords, o.coords, 2 * fl.degree - 1, fl.ground.zero(),
                 fl.poly.coeffs))
         return _element(fl, _scalars(fl.ground, _pair_matvec(
-            [(fl.mul_rows(o), _pairs(self.coords))], fl.ground)))
+            fl.mul_rows(o), _pairs(self.coords), fl.ground)))
 
     __rmul__ = __mul__
 
     def times_pi(self):
-        """self * pi by shift and fold: the parts move up one place and the
-        old top folds back through E, a_(i-1) - top * c_i.  One pass of the
-        floor's cached pi_rows over the raw ground integers gives the data,
-        precisions and exact-zero flags of ``self * floor.uniformizer()``.
+        """self * pi by a move and a fold: the parts move up one place and
+        the old top folds back through E, a_(i-1) - top * c_i.  The move
+        of the ground pairs and one pass of the floor's cached pi_rows
+        (floor.times_pi_pairs) give the data, precisions and exact-zero
+        flags of ``self * floor.uniformizer()``.
         """
         fl = self.floor
-        return _element(fl, _scalars(fl.ground, _pair_matvec(
-            [(fl.pi_rows(), _pairs(self.coords))], fl.ground)))
+        return _element(fl, _scalars(fl.ground,
+                                     fl.times_pi_pairs(_pairs(self.coords))))
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -332,9 +324,9 @@ class FloorElement(RingElement):
         """self / pi^k; needs valuation >= k, provably.
 
         Each division is times_pi run backwards (floor.udiv_pairs): the
-        low base part is divided by pi_base, and one pass of the floor's
-        cached div_rows over the (data, prec) pairs shifts the parts down
-        and folds that quotient back.  The data, exact-zero flags and (but
+        low base part is divided by pi_base, the other parts move down one
+        place, and one pass of the floor's cached div_rows folds that
+        quotient back on top of them.  The data, exact-zero flags and (but
         for exact zeros, which get the ground precision) precisions are
         those of the route of generic products y = -(x_0 / pi_base)
         c_0'^-1, then x_i + c_i y, which the tests keep as the reference.
@@ -348,7 +340,7 @@ class FloorElement(RingElement):
         if self.residue() == 0:
             raise NotAUnit("valuation is positive")
         fl = self.floor
-        w = fl.teichmuller(fl.residue_inverse(self.residue()))
+        w = fl.teichmuller(pow(self.residue(), -1, fl.p))
         # Newton doubles the precision of 1 - x*w each round.
         for _ in range(fl.ceiling.bit_length() + 2):
             err = 1 - self * w

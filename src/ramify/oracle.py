@@ -24,8 +24,9 @@ phi_grid reads a field's rows that way; capital_phi probes one (j, c)
 directly and stays the reference it is tested against.
 
 Every probe runs series.evaluate_at_pi, which reads each eps-coefficient
-off the powers of pi, built by shift and fold (the floor's rows that
-FloorElement.times_pi applies), and forms no generic floor product.  At
+off the powers of pi, built by a move and a fold (the pairs move up one
+block and one pass of the floor's pi_rows folds the old top back, as in
+FloorElement.times_pi), and forms no generic floor product.  At
 any c or u other than the grid probe's c = 0 and u = 1, the eps^m
 coefficient then takes m passes of the rows of u*pi^(c+1).  The generic
 series.evaluate stays the reference route, and the tests compare the

@@ -69,14 +69,9 @@ class PLFunction:
         return self.lines[-1].slope
 
     def dominates_line(self, intercept, slope) -> bool:
-        """True if intercept + slope*x >= self(x) for every x >= 0."""
-        probe = Line(intercept, slope)
-        if probe.at(0) < self(0):
-            return False
-        for x, y in self.vertices():
-            if probe.at(x) < y:
-                return False
-        return probe.slope >= self.final_slope
+        """True if intercept + slope*x >= self(x) for every x >= 0: then
+        adding the line leaves the canonical envelope as it is."""
+        return self.min_with(PLFunction([Line(intercept, slope)])) == self
 
     def as_dict(self):
         f0 = self(0)

@@ -15,7 +15,7 @@ e-th root is solved digit by digit with its powers.
 
 evaluate is the generic Horner route at any point of any ring.  At the
 uniformizer of a floor, perturbed or not, evaluate_at_pi reads the
-series off the powers of pi, built by shift and fold on the ground
+series off the powers of pi, built by a move and a fold on the ground
 coordinates, in one pass per eps-degree; it serves every probe, the
 formal-composite check and tame, and evaluate stays the reference the
 tests compare it against, as compose_series keeps using it.
@@ -176,7 +176,8 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
     Without ``nil`` it gives F(pi) on the floor; with it, F(pi + w*eps)
     in DualRing(floor, nil), w = pi when omitted.  The eps^m coefficient
     is w^m sum_h binom(n+h, m) c_h pi^(n+h-m), n the offset.  Passes of
-    the floor's pi_rows on (data, prec) pairs form pi^0 ... pi^(n+H-1),
+    floor.times_pi_pairs (a move of the (data, prec) pairs and one fold
+    pass of pi_rows) form pi^0 ... pi^(n+H-1),
     and as they go the rows are built: row r of drop d lists
     (i, data, prec) of coordinate r of pi^(n+h-d), for the i-th h whose
     c_h is not an exact zero.  s_m is c_h times the binomial as a scalar
@@ -201,10 +202,10 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
     at = {h: i for i, h in enumerate(live)}
     drops = range(1 if w is None else top)
     rows = [[[] for _ in range(floor.absolute_degree)] for _ in drops]
-    pi_rows, x = floor.pi_rows(), _pairs(floor.one().coords)
+    x = _pairs(floor.one().coords)
     for k in range(n + H):
         if k:
-            x = _pair_matvec([(pi_rows, x)], ground)
+            x = floor.times_pi_pairs(x)
         for d in drops:
             i = at.get(k + d - n)
             if i is not None:
@@ -216,14 +217,14 @@ def evaluate_at_pi(series, floor, nil=None, w=None):
              if n + h >= m else [] for m in range(1, top)
              for i, h in enumerate(live)]
     cs, L = _pairs(series.coeffs[h] for h in live), len(live)
-    s = cs + _pair_matvec([(binom, cs)], ground)
+    s = cs + _pair_matvec(binom, cs, ground)
     w_rows = None if w is None else floor.mul_rows(w)
     out = []
     for m in range(top):
         d = 0 if w is None else m
-        a = _pair_matvec([(rows[d], s[m * L:m * L + L])], ground)
+        a = _pair_matvec(rows[d], s[m * L:m * L + L], ground)
         for _ in range(d):
-            a = _pair_matvec([(w_rows, a)], ground)
+            a = _pair_matvec(w_rows, a, ground)
         out.append(FloorElement(floor, _scalars(ground, a)))
     if nil is None:
         return out[0]
@@ -236,7 +237,7 @@ def normalize_leading_digit(series: Series) -> Series:
     if d0 == 1:
         return series
     ground = series.ground
-    unit = ground.teichmuller(ground.residue_inverse(d0))
+    unit = ground.teichmuller(pow(d0, -1, ground.p))
     return Series(series.offset, [c * unit for c in series.coeffs])
 
 

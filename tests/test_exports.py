@@ -94,16 +94,23 @@ def unused_public_definitions():
     code of src/ramify names outside its own definition, and that bench/
     and README.md do not name either."""
     trees = modules()
+    # the names of each top-level node, and of each module, walked once
+    node_names = {stem: [names_in(node) for node in tree.body]
+                  for stem, tree in trees.items()}
+    module_names = {stem: set().union(*names)
+                    for stem, names in node_names.items()}
     out = []
     for stem, tree in trees.items():
-        for node in tree.body:
+        for node, own in zip(tree.body, node_names[stem]):
             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 continue
-            elsewhere = set().union(
-                *(names_in(other) for other in tree.body if other is not node),
-                *(names_in(t) for s, t in trees.items() if s != stem))
-            if node.name not in elsewhere and not used_outside_src(node.name):
+            elsewhere = (
+                any(node.name in names for names in node_names[stem]
+                    if names is not own)
+                or any(node.name in names
+                       for s, names in module_names.items() if s != stem))
+            if not elsewhere and not used_outside_src(node.name):
                 out.append("%s.%s" % (stem, node.name))
     return out
 

@@ -5,7 +5,7 @@ scalars: the schoolbook product and the Eisenstein fold written with
 BaseScalar ``+``, ``-`` and ``*``, one scalar per term.  On a floor over
 another floor the same route over base-floor parts, down to the ground,
 is the reference for the product as one pass of rows (mul_rows, built by
-shift and fold).  Both sides must agree on the data, the precision and
+a move and a fold).  Both sides must agree on the data, the precision and
 the exact-zero flag of every output.
 """
 
@@ -98,8 +98,8 @@ def test_flat_floor_product_matches_the_scalar_route(case):
     x, y = FloorElement(L, a), FloorElement(L, b)
     want = raw(ref_fold(ref_convolve(a, b, 2 * len(cs) - 1, K.zero()), cs))
     assert raw((x * y).coords) == want
-    # the rows every probe applies, built by shift and fold
-    rows = _pair_matvec([(L.mul_rows(y), _pairs(x.coords))], K)
+    # the rows every probe applies, built by a move and a fold
+    rows = _pair_matvec(L.mul_rows(y), _pairs(x.coords), K)
     assert raw(_scalars(K, rows)) == want
 
 
@@ -213,7 +213,7 @@ def nested_products(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(nested_products())
 def test_nested_floor_product_matches_the_generic_fold(case):
-    """One pass of the rows of x -> x * y, built by shift and fold, against
+    """One pass of the rows of x -> x * y, built by a move and a fold, against
     the schoolbook product and the top-down Eisenstein fold over
     base-floor parts."""
     floor, a, b = case

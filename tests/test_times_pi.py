@@ -1,4 +1,4 @@
-"""Multiplication and division by pi by shift and fold, and the probes
+"""Multiplication and division by pi by a move and a fold, and the probes
 built on them.
 
 ``FloorElement.times_pi`` must give what ``x * floor.uniformizer()`` gives,
@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from ramify.base import BaseScalar, GroundField, vp
 from ramify.errors import NotDivisible, PrecisionExhausted
-from ramify.extension import EisensteinPoly, FloorElement, attach_eisenstein
+from ramify.extension import (EisensteinFloor, EisensteinPoly, FloorElement,
+                              attach_eisenstein)
 from ramify import series as series_module
 from ramify.oracle import _probe
 from ramify.series import DualRing, Series, evaluate, evaluate_at_pi
@@ -126,9 +127,10 @@ def floors(draw, steps=2, prec=PREC, whole=("exact_zero", "digits")):
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_times_pi_is_the_product_with_pi(data):
-    floor = data.draw(floors())
+    floor = data.draw(floors(steps=3))
     pi = floor.uniformizer()
-    fast = slow = data.draw(elements(floor))
+    fast = slow = data.draw(
+        elements(floor, ("exact_zero", "zero", "digits", "short")))
     for _ in range(3):
         fast, slow = fast.times_pi(), slow * pi
         assert ground(fast) == ground(slow)
@@ -258,25 +260,32 @@ def test_grid_probe_keeps_a_binomial_that_p_divides_live(monkeypatch):
     floor, K = case.floor, case.ground
     F = Series(2, [K.one(), K.zero(), short_scalar(K.one(), 5)])
     passes = {"power": 0, "coefficient": 0}
-    kernel = series_module._pair_matvec
+    kernel, times_pi_pairs = (series_module._pair_matvec,
+                              EisensteinFloor.times_pi_pairs)
 
-    def counted(terms, field, window=None):
-        # a pass on the floor's pi_rows is one step of the powers of pi
-        passes["power" if terms[0][0] is floor.pi_rows()
-               else "coefficient"] += 1
-        return kernel(terms, field, window)
+    def counted(*args, **kwargs):
+        passes["coefficient"] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_times_pi(self, xs):
+        # a pass of the floor's times_pi_pairs is one step of the powers of pi
+        passes["power"] += self is floor
+        return times_pi_pairs(self, xs)
 
     monkeypatch.setattr(series_module, "_pair_matvec", counted)
+    monkeypatch.setattr(EisensteinFloor, "times_pi_pairs", counted_times_pi)
     got = evaluate_at_pi(F, floor, 4)
-    # pi^0 ... pi^(n+H-1) by n+H-1 passes of pi_rows, then the binomials and
-    # one pass per eps-degree
+    # pi^0 ... pi^(n+H-1) by n+H-1 passes of times_pi_pairs, then the
+    # binomials and one pass per eps-degree
     assert passes == {"power": F.offset + F.horizon - 1,
                       "coefficient": 1 + 4}
-    # with w given, the same powers, then the binomials, one pass per
-    # eps-degree and m passes of w's rows on the eps^m coefficient
+    # with w given, the same powers and the size - width column passes of
+    # mul_rows(w), then the binomials, one pass per eps-degree and m passes
+    # of w's rows on the eps^m coefficient
     passes.update(power=0, coefficient=0)
     evaluate_at_pi(F, floor, 4, floor.one() + floor.uniformizer())
-    assert passes == {"power": F.offset + F.horizon - 1,
+    columns = floor.absolute_degree - floor.base.absolute_degree
+    assert passes == {"power": F.offset + F.horizon - 1 + columns,
                       "coefficient": 1 + 4 + 4 * 3 // 2}
     monkeypatch.undo()
     assert [(g.data, g.exact_zero) for g in got.coeffs[1].coords] == [
