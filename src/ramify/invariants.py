@@ -15,7 +15,7 @@ otherwise undercut it; failing that is IndexUnresolved, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .base import INFINITY, vp
 from .errors import IndexUnresolved
@@ -32,6 +32,9 @@ class InsepProfile:
     i: tuple
     vLp: object
     horizon: int
+    # phi^j by j, built once by phi; a replaced profile starts empty
+    _phis: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
 
 def tilde_indices(series, nu):
@@ -98,7 +101,11 @@ def inseparability_profile(series, vLp) -> InsepProfile:
 
 
 def phi(profile: InsepProfile, j: int) -> PLFunction:
+    """min over j0 <= j of i_j0 + p^j0 x, built once per profile and j."""
     if not 0 <= j <= profile.nu:
         raise ValueError("j out of range")
-    return PLFunction([Line(profile.i[j0], profile.p ** j0)
-                       for j0 in range(j + 1)])
+    fun = profile._phis.get(j)
+    if fun is None:
+        fun = profile._phis[j] = PLFunction(
+            [Line(profile.i[j0], profile.p ** j0) for j0 in range(j + 1)])
+    return fun

@@ -7,10 +7,18 @@ form keeps exactly the lines that realize the minimum on an interval of
 positive length, ordered by decreasing slope; lines touching the
 envelope at a single point are discarded.  Two envelopes are equal as
 functions iff their canonical line tuples coincide.
+
+Values and vertices are exact Fractions, computed on integers: beside
+its lines an envelope holds their intercepts as numerators A_k over one
+common denominator D, which is 1 when every intercept is an int.  At
+x = a/b the value is min(A_k*b + s_k*D*a) / (D*b), one Fraction per
+answer, and the crossings the canonical sweep and vertices() need are
+compared and formed by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,22 +27,22 @@ class Line(NamedTuple):
     intercept: int | Fraction
     slope: int
 
-    def at(self, x):
-        # x first: a Fraction x keeps to Fraction's forward operators
-        return x * self.slope + self.intercept
-
 
 class PLFunction:
     """Canonical lower envelope of finitely many lines."""
 
-    __slots__ = ("lines",)
+    __slots__ = ("lines", "_den", "_terms")
 
     def __init__(self, lines):
-        self.lines = _canonical(lines)
+        # _terms: (A_k, s_k) of each line, A_k / _den its intercept
+        self.lines, self._den, self._terms = _canonical(lines)
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        return min(ln.at(x) for ln in self.lines)
+        b = x.denominator
+        Da = self._den * x.numerator
+        return Fraction(min(A * b + s * Da for A, s in self._terms),
+                        self._den * b)
 
     def min_with(self, other: "PLFunction") -> "PLFunction":
         return PLFunction(self.lines + other.lines)
@@ -56,12 +64,15 @@ class PLFunction:
         return PLFunction([Line(m * a, s) for a, s in self.lines])
 
     def vertices(self):
-        """Breakpoints (x, y) where the active line changes, left to right."""
+        """Breakpoints (x, y) where the active line changes, left to right.
+
+        Lines k and k+1 cross at x = (A_(k+1) - A_k) / (D*(s_k - s_(k+1))),
+        where y = (s_k*A_(k+1) - s_(k+1)*A_k) / (D*(s_k - s_(k+1))).
+        """
         out = []
-        for k in range(len(self.lines) - 1):
-            a, b = self.lines[k], self.lines[k + 1]
-            x = Fraction(b.intercept - a.intercept, a.slope - b.slope)
-            out.append((x, a.at(x)))
+        for (A, s), (B, r) in zip(self._terms, self._terms[1:]):
+            den = self._den * (s - r)
+            out.append((Fraction(B - A, den), Fraction(s * B - r * A, den)))
         return out
 
     @property
@@ -115,19 +126,27 @@ def _canonical(lines):
     # Sweep by decreasing slope; each kept line becomes active where it
     # first undercuts the current envelope.  A crossing at or before the
     # top line's own start means the top line never wins on an interval.
-    order = sorted(cleaned.items(), key=lambda kv: -kv[0])
-    hull = []
-    starts = []
+    # On numerators A over the common denominator D, the line (A, s)
+    # crosses the top line (At, st) at (A - At) / (D*(st - s)); starts
+    # hold (A - At, st - s) and compare by cross-multiplication, as D > 0
+    # cancels.
+    order = sorted(cleaned.items(), reverse=True)
+    D = math.lcm(*[a.denominator for _, a in order])
+    hull, terms, starts = [], [], []
     for s, a in order:
-        while hull:
-            top = hull[-1]
-            start = Fraction(a - top.intercept, top.slope - s)
-            if start > starts[-1]:
+        A = a.numerator * (D // a.denominator)
+        while terms:
+            At, st = terms[-1]
+            num, den = A - At, st - s
+            prev_num, prev_den = starts[-1]
+            if num * prev_den > prev_num * den:
                 break
             hull.pop()
+            terms.pop()
             starts.pop()
         else:
-            start = 0
+            num, den = 0, 1
         hull.append(Line(a, s))
-        starts.append(start)
-    return tuple(hull)
+        terms.append((A, s))
+        starts.append((num, den))
+    return tuple(hull), D, tuple(terms)

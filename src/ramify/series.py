@@ -293,8 +293,12 @@ def compose_series(outer, inner, out_horizon) -> Series:
     the product of the offsets, matching a two-step tower where inner
     carries pi_M to pi_L and outer carries pi_L to pi_K.  It is outer
     evaluated at inner, read in ground[X] / (X^(offset + out_horizon)).
+    A term c_h * inner^(offset_outer + h) has valuation at least offset +
+    h * offset_inner, so only the first ceil(out_horizon / offset_inner)
+    terms of outer reach below the cut, and only they are evaluated.
     """
     off = outer.offset * inner.offset
     ring = DualRing(inner.ground, off + out_horizon)
     x = ring.element([inner.ground.zero()] * inner.offset + list(inner.coeffs))
-    return Series(off, evaluate(outer, x).coeffs[off:])
+    reach = Series(outer.offset, outer.coeffs[:-(-out_horizon // inner.offset)])
+    return Series(off, evaluate(reach, x).coeffs[off:])

@@ -50,8 +50,10 @@ class TowerProfile:
     lower_series: object
     upper_series: object
     composed_series: object
-    # lambda^l by l, built once by lambda_l
-    _lambdas: dict = field(default_factory=dict, compare=False, repr=False)
+    # (lambda^l, its pair lines) by l, built once by lambda_l; a replaced
+    # profile starts empty
+    _lambdas: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     @property
     def n(self):
@@ -296,14 +298,13 @@ def _check_formal_composite(M, F, G, H):
 
 
 def _pair_lines(T: TowerProfile, l: int):
-    """Index lines over all pairs j+k <= l: (m*i_j + p^j*i'_k, p^(j+k))."""
+    """((j, k), line) over all pairs j+k <= l in order, the index line
+    (m*i_j + p^j*i'_k, p^(j+k)); its intercept is an int."""
     p, m = T.p, T.m
-    out = {}
-    for j in range(min(l, T.lower.nu) + 1):
-        for k in range(min(l - j, T.upper.nu) + 1):
-            out[(j, k)] = Line(m * T.lower.i[j] + p ** j * T.upper.i[k],
-                               p ** (j + k))
-    return out
+    return tuple(((j, k), Line(m * T.lower.i[j] + p ** j * T.upper.i[k],
+                               p ** (j + k)))
+                 for j in range(min(l, T.lower.nu) + 1)
+                 for k in range(min(l - j, T.upper.nu) + 1))
 
 
 def lambda_l(T: TowerProfile, l: int) -> PLFunction:
@@ -313,10 +314,10 @@ def lambda_l(T: TowerProfile, l: int) -> PLFunction:
     """
     if not 0 <= l <= T.lower.nu + T.upper.nu:
         raise ValueError("l out of range")
-    env = T._lambdas.get(l)
-    if env is None:
-        env = T._lambdas[l] = _build_lambda(T, l)
-    return env
+    built = T._lambdas.get(l)
+    if built is None:
+        built = T._lambdas[l] = _build_lambda(T, l)
+    return built[0]
 
 
 def _build_lambda(T, l):
@@ -327,28 +328,34 @@ def _build_lambda(T, l):
             continue
         f = phi(T.lower, j).scale(T.m).compose(phi(T.upper, k))
         env = f if env is None else env.min_with(f)
-    flat = PLFunction(list(_pair_lines(T, l).values()))
-    if env != flat:
+    pairs = _pair_lines(T, l)
+    if env != PLFunction([ln for _, ln in pairs]):
         raise TheoremViolation("the two displayed forms of lambda disagree")
-    return env
-
-
-def _tie_sets(T, l, x, lam):
-    out = {a: [] for a in range(l + 1)}
-    for (j, k), ln in sorted(_pair_lines(T, l).items()):
-        if ln.at(x) == lam:
-            out[j + k].append((j, k))
-    return out
+    return env, pairs
 
 
 def ge_report(T: TowerProfile, l: int, x) -> GeReport:
+    """The bound lambda^l(x), phi^l(x) and the tie sets at x.
+
+    At x = a/b the pair lines take the integer values A*b + s*a, A the
+    intercept and s the slope: their minimum is b * lambda^l(x), and the
+    pairs (j, k) at the minimum, grouped by j + k, are the tie sets.
+    """
     x = Fraction(x)
-    lam = lambda_l(T, l)(x)
+    lambda_l(T, l)
+    pairs = T._lambdas[l][1]
+    a, b = x.numerator, x.denominator
+    values = [ln.intercept * b + ln.slope * a for _, ln in pairs]
+    low = min(values)
+    lam = Fraction(low, b)
     ph = phi(T.composed, l)(x)
-    S = _tie_sets(T, l, x, lam)
-    hypothesis = any(len(S[a]) == 1 for a in range(l + 1))
+    S = {c: [] for c in range(l + 1)}
+    for ((j, k), _), v in zip(pairs, values):
+        if v == low:
+            S[j + k].append((j, k))
+    hypothesis = any(len(S[c]) == 1 for c in range(l + 1))
     in_T = any(
-        len(S[l0]) == 1 and all(len(S[a]) == 0 for a in range(l0))
+        len(S[l0]) == 1 and all(len(S[c]) == 0 for c in range(l0))
         for l0 in range(l + 1)
     )
     if ph < lam:

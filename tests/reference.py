@@ -12,7 +12,13 @@ tests can check that the two agree:
 * alternate_series adds X^n E(X) to a digit series: a second series with
   the same value at pi, on which every probe must answer the same;
 * ref_eth_root_substitute solves the tame root coefficient by coefficient
-  in X, against eth_root_substitute, which solves it in Y = X^e.
+  in X, against eth_root_substitute, which solves it in Y = X^e;
+* ref_compose_series evaluates every term of the outer series, against
+  compose_series, which evaluates only the terms that reach below the cut;
+* envelope_at, canonical_lines and envelope_vertices evaluate, sweep and
+  cross lines on Fractions, one or two per line, against PLFunction's
+  integer numerators; ref_ge_report reads the bound and the tie sets off
+  those values, against ge_report's one integer pass of the pair lines.
 """
 
 from __future__ import annotations
@@ -24,8 +30,11 @@ from fractions import Fraction
 from ramify.base import INFINITY, vp
 from ramify.errors import IndexUnresolved, PrecisionExhausted
 from ramify.oracle import FULL, nilpotency
+from ramify.invariants import phi
+from ramify.plfun import Line
 from ramify.series import (DualRing, Series, _scalar_root, check_tame_degree,
                            evaluate)
+from ramify.tower import GeReport, _pair_lines, lambda_l
 
 
 def dpower(F, m: int):
@@ -164,3 +173,86 @@ def ref_eth_root_substitute(series: Series, e: int) -> Series:
         cur = DualRing(ground, w + 1).element(ts) ** e
         ts.append((g[w] - cur.coeffs[w]) * lead_inv)
     return Series(n, ts)
+
+
+def ref_compose_series(outer, inner, out_horizon) -> Series:
+    """compose_series with every term of outer evaluated, those past the
+    cut included."""
+    off = outer.offset * inner.offset
+    ring = DualRing(inner.ground, off + out_horizon)
+    x = ring.element([inner.ground.zero()] * inner.offset + list(inner.coeffs))
+    return Series(off, evaluate(outer, x).coeffs[off:])
+
+
+def line_at(line, x):
+    # x first: a Fraction x keeps to Fraction's forward operators
+    return x * line.slope + line.intercept
+
+
+def envelope_at(lines, x) -> Fraction:
+    """min of the lines at x, each value a Fraction."""
+    x = Fraction(x)
+    return min(line_at(ln, x) for ln in lines)
+
+
+def canonical_lines(lines):
+    """The canonical line tuple, swept with a Fraction per crossing."""
+    cleaned = {}
+    for ln in lines:
+        a, s = ln[0], int(ln[1])
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if s <= 0:
+            raise ValueError("slopes must be positive integers")
+        if a < 0:
+            raise ValueError("intercepts must be nonnegative")
+        if s not in cleaned or a < cleaned[s]:
+            cleaned[s] = a
+    if not cleaned:
+        raise ValueError("an envelope needs at least one line")
+    order = sorted(cleaned.items(), key=lambda kv: -kv[0])
+    hull = []
+    starts = []
+    for s, a in order:
+        while hull:
+            top = hull[-1]
+            start = Fraction(a - top.intercept, top.slope - s)
+            if start > starts[-1]:
+                break
+            hull.pop()
+            starts.pop()
+        else:
+            start = 0
+        hull.append(Line(a, s))
+        starts.append(start)
+    return tuple(hull)
+
+
+def envelope_vertices(lines):
+    """Crossings (x, y) of consecutive canonical lines, on Fractions."""
+    out = []
+    for a, b in zip(lines, lines[1:]):
+        x = Fraction(b.intercept - a.intercept, a.slope - b.slope)
+        out.append((x, line_at(a, x)))
+    return out
+
+
+def tie_sets(T, l, x, lam):
+    """{j + k: the pairs (j, k) whose index line meets lam at x}."""
+    out = {a: [] for a in range(l + 1)}
+    for (j, k), ln in sorted(_pair_lines(T, l)):
+        if line_at(ln, x) == lam:
+            out[j + k].append((j, k))
+    return out
+
+
+def ref_ge_report(T, l, x) -> GeReport:
+    """ge_report on Fraction values of the lines, without its checks."""
+    x = Fraction(x)
+    lam = envelope_at(lambda_l(T, l).lines, x)
+    ph = envelope_at(phi(T.composed, l).lines, x)
+    S = tie_sets(T, l, x, lam)
+    hypothesis = any(len(S[a]) == 1 for a in range(l + 1))
+    in_T = any(len(S[l0]) == 1 and all(len(S[a]) == 0 for a in range(l0))
+               for l0 in range(l + 1))
+    return GeReport(l, x, lam, ph, S, hypothesis, in_T, ph == lam)

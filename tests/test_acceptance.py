@@ -36,7 +36,7 @@ from ramify.tower import (
     tame_lift_tower,
 )
 from conftest import CASE_BUILDERS, build_double_quadratic_tower
-from reference import alternate_series, phi_binomial
+from reference import alternate_series, phi_binomial, ref_ge_report
 
 CMAX = 6
 RATIONAL_GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
@@ -243,6 +243,14 @@ def test_acceptance_9_lower_bound_never_violated():
     print("ACCEPTANCE 9 lower-bound-fuzz: PASS")
 
 
+def test_ge_report_matches_the_fraction_reference():
+    # one integer pass of the pair lines against a Fraction per line
+    for T in fuzz_towers():
+        for l in range(T.lower.nu + T.upper.nu + 1):
+            for x in _tower_sample_points(T, l):
+                assert ge_report(T, l, x) == ref_ge_report(T, l, x), (l, x)
+
+
 def test_ge_report_sweep_builds_each_lambda_once(monkeypatch):
     # fresh towers: the cached batch above may have built its lambdas already
     rng = random.Random(20260816)
@@ -262,7 +270,7 @@ def test_ge_report_sweep_builds_each_lambda_once(monkeypatch):
     assert built == Counter({(id(T), l): 1 for T, l, _ in sweep})
     # the same reports as from a tower whose cache starts empty each time
     for (T, l, x), report in zip(sweep, reports):
-        assert ge_report(replace(T, _lambdas={}), l, x) == report
+        assert ge_report(replace(T), l, x) == report
 
 
 def test_acceptance_10_invariant_chain():

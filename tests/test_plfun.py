@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ramify.plfun import Line, PLFunction
+from reference import canonical_lines, envelope_at, envelope_vertices, line_at
 
 
 def _f(n, d=1):
@@ -53,7 +57,7 @@ def test_call_is_min_of_lines():
         ]
         f = PLFunction(lines)
         for x in _grid()[::7]:
-            assert f(x) == min(ln.at(x) for ln in lines)
+            assert f(x) == envelope_at(lines, x)
 
 
 def test_min_with_pointwise():
@@ -164,5 +168,36 @@ def test_line_at_keeps_the_old_values_and_types():
         for s in (1, 2, 9):
             for x in numbers:
                 old = a + s * x
-                new = Line(a, s).at(x)
+                new = line_at(Line(a, s), x)
                 assert new == old and type(new) is type(old), (a, s, x)
+
+
+# intercepts of every type an envelope takes, and x at 0, at integers and
+# at rationals
+INTERCEPTS = st.one_of(
+    st.integers(0, 60),
+    st.fractions(min_value=0, max_value=60, max_denominator=12),
+    st.integers(0, 240).map(lambda k: k / 4),
+    st.fractions(min_value=0, max_value=60, max_denominator=12).map(str),
+)
+POINTS = st.one_of(st.just(0), st.integers(0, 80),
+                   st.fractions(min_value=0, max_value=80, max_denominator=24))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(INTERCEPTS, st.sampled_from([1, 2, 3, 4, 8, 9, 27])),
+                min_size=1, max_size=7),
+       st.lists(POINTS, min_size=1, max_size=6))
+def test_integer_numerators_match_the_fraction_routes(drawn, xs):
+    lines = [Line(a, s) for a, s in drawn]
+    f = PLFunction(lines)
+    assert f.lines == canonical_lines(lines)
+    exact = [Line(Fraction(a), s) for a, s in lines]
+    for x in xs:
+        y = f(x)
+        assert type(y) is Fraction
+        assert y == envelope_at(f.lines, x) == envelope_at(exact, x)
+    vertices = f.vertices()
+    assert vertices == envelope_vertices(f.lines)
+    assert all(type(x) is Fraction and type(y) is Fraction
+               for x, y in vertices)

@@ -19,7 +19,8 @@ from ramify.series import (
 )
 from ramify.tower import tame_lift_tower
 from conftest import _outcome, build_double_quadratic_tower, short_scalar
-from reference import alternate_series, ref_eth_root_substitute
+from reference import (alternate_series, ref_compose_series,
+                       ref_eth_root_substitute)
 from test_times_pi import ground_field, scalars
 
 
@@ -130,6 +131,36 @@ def test_compose_series_matches_evaluation(mode):
     direct = evaluate(F, evaluate(G, pi))
     diff = evaluate(H, pi) - direct
     assert diff.has_valuation_at_least(H.offset + depth)
+
+
+def _coefficients(series):
+    return [(c.data, c.prec, c.exact_zero) for c in series.coeffs]
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+def test_compose_series_matches_the_untruncated_evaluation(mode):
+    # the outer terms past the cut add nothing, at every depth
+    T = build_double_quadratic_tower(mode=mode)
+    F, G = T.lower_series, T.upper_series
+    for depth in range(1, F.horizon * G.offset + 1):
+        assert (_coefficients(compose_series(F, G, depth))
+                == _coefficients(ref_compose_series(F, G, depth))), depth
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.data(), st.sampled_from(["equal", "mixed"]), st.sampled_from([2, 3]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 9))
+def test_compose_series_cut_on_random_series(data, mode, p, n, m, depth):
+    K = ground_field(mode, p)
+    kinds = ("exact_zero", "zero", "digits", "short")
+
+    def series(offset):
+        return Series(offset, data.draw(st.lists(scalars(K, kinds),
+                                                 min_size=1, max_size=6)))
+
+    F, G = series(n), series(m)
+    assert (_coefficients(compose_series(F, G, depth))
+            == _coefficients(ref_compose_series(F, G, depth)))
 
 
 def test_compose_series_does_not_claim_exactness():

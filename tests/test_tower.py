@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,35 @@ def test_compose_rejects_mismatched_lower_poly():
 def test_lambda_range_is_checked(double_quadratic_tower):
     with pytest.raises(ValueError):
         lambda_l(double_quadratic_tower, 3)
+
+
+def test_a_replaced_profile_rebuilds_its_envelopes(double_quadratic_tower):
+    T = double_quadratic_tower
+    P = T.upper
+    top = T.lower.nu + P.nu
+    before = [lambda_l(T, l) for l in range(top + 1)]
+    phis = [phi(P, j) for j in range(P.nu + 1)]
+    # the caches are built by the functions, never passed in
+    with pytest.raises(ValueError):
+        replace(T, _lambdas={})
+    with pytest.raises(ValueError):
+        replace(P, _phis={})
+    Q = replace(P, i=tuple(v + 2 for v in P.i[:-1]) + (0,))
+    U = replace(T, upper=Q)
+    assert [phi(Q, j) for j in range(Q.nu + 1)] == [
+        PLFunction([Line(Q.i[j0], Q.p ** j0) for j0 in range(j + 1)])
+        for j in range(Q.nu + 1)]
+    after = [lambda_l(U, l) for l in range(top + 1)]
+    assert after == [
+        PLFunction([Line(T.m * T.lower.i[j] + T.p ** j * Q.i[k],
+                         T.p ** (j + k))
+                    for j in range(min(l, T.lower.nu) + 1)
+                    for k in range(min(l - j, Q.nu) + 1)])
+        for l in range(top + 1)]
+    assert after != before
+    # the replaced profiles left the originals' envelopes as they were
+    assert [lambda_l(T, l) for l in range(top + 1)] == before
+    assert [phi(P, j) for j in range(P.nu + 1)] == phis
 
 
 def _lift_indices(lift, count):
