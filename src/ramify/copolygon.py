@@ -1,15 +1,16 @@
 """Perturbation series and their Newton copolygons.
 
-Feeding pi*(1+eps) into the digit series and dividing by the image of
-the base uniformizer gives the perturbation series sum c_i eps^i with
-integral coefficients on the floor.  The lower envelope of the lines
+Feeding pi*(1+eps) into the digit series and dividing by pi^n, n its
+offset, gives the perturbation series sum c_i eps^i with integral
+coefficients on the floor; dividing by F(pi) instead moves each c_i by
+one unit, and no valuation.  The lower envelope of the lines
 v(c_i) + i*x is the valuation function; truncated at eps-degree below
 p^(j+1) and read with the floor's own valuation it reproduces the j-th
 break function, and read with the base normalization v/n it reproduces
 the full envelope shrunk by 1/n.
 
 Coefficients are kept as floor elements rather than bare valuations so
-that unit factors and the choice of series can be probed in tests.  A
+that the unit left out and the choice of series can be probed in tests.  A
 coefficient that is zero to working precision contributes a line only
 if that line could matter: if its certified bound already clears the
 envelope everywhere it is dropped, otherwise PrecisionExhausted.
@@ -50,21 +51,19 @@ class EpsilonSeries:
 
 
 def fstar(F, floor) -> EpsilonSeries:
-    """Expansion of (image of base uniformizer)^(-1) * (F(pi(1+eps)) - F(pi)).
+    """Expansion of pi^(-n) * (F(pi(1+eps)) - F(pi)), n the offset of F.
 
     It runs to eps-degree p^(nu+1) - 1, where p^nu is the p-part of n, or
     to F's own eps-degree offset + horizon - 1 when that is lower.
     """
     n = F.offset
     w = _field_probe(F, floor)
-    target = w.coeffs[0]
-    if target.valuation() != n:
+    if w.coeffs[0].valuation() != n:
         raise PrecisionExhausted("series does not carry valuation %d" % n)
-    unit_inv = target.udiv(n).unit_inverse()
     cs = []
     for i, c in enumerate(w.coeffs[1:], start=1):
         try:
-            cs.append((c * unit_inv).udiv(n))
+            cs.append(c.udiv(n))
         except PrecisionExhausted:
             raise PrecisionExhausted(
                 "the eps^%d coefficient is not certifiably divisible by pi^%d "

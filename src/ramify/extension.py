@@ -345,6 +345,11 @@ class FloorElement(RingElement):
         for _ in range(fl.ceiling.bit_length() + 2):
             err = 1 - self * w
             if err.is_zero_to_precision():
+                # x^-1 - w = x^-1 (1 - x w): every coordinate is known to m
+                m = min(c.prec for c in err.coords if not c.exact_zero)
+                if m < fl.ground.prec:
+                    known = BaseScalar(fl.ground, 0, m)
+                    w = _element(fl, [c + known for c in w.coords])
                 return w
             w = w + w * err
         raise PrecisionExhausted("inverse did not converge", bound=None)

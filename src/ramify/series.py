@@ -246,14 +246,12 @@ def _scalar_root(c0, e, ground):
     if c0.residue() != 1:
         raise NotOneUnit("leading coefficient is not a 1-unit")
     y = ground.one()
-    for _ in range(ground.prec.bit_length() + 3):
+    # step before returning, so y claims no more precision than c0 has
+    for _ in range(ground.prec.bit_length() + 4):
         err = y ** e - c0
+        y = y - err * ((y ** (e - 1)) * e).unit_inverse()
         if err.is_zero_to_precision():
             return y
-        deriv = (y ** (e - 1)) * e
-        y = y - err * deriv.unit_inverse()
-    if (y ** e - c0).is_zero_to_precision():
-        return y
     raise PrecisionExhausted("e-th root did not converge")
 
 

@@ -216,16 +216,12 @@ def expand_profile(top, base, horizon=None, cmax=None):
 def perturbation(top, base):
     """fstar of the series of expand_profile(top, base), and the profile.
 
-    The series spends n + H ground digits.  fstar divides the unit part
-    of F(pi), and then each eps-coefficient, by pi^n, which spends 2n,
-    and reads the quotients to valuation H, ceil(H / N) more on a floor
-    of absolute degree N.  A refusal in the block names the job precision
-    from which both fit.
+    fstar divides by pi^n once and reads the quotients to valuation H:
+    n + ceil(H / N) ground digits on a floor of absolute degree N, no more
+    than the n + H of the series, so a refusal names what the profile does.
     """
     target, digits = digits_asked(top, base)
-    n = top.absolute_degree // base.absolute_degree
-    with _naming(target, max(digits,
-                             n + math.ceil(digits / top.absolute_degree))):
+    with _naming(target, digits):
         series, profile = expand_profile(top, base)
         yield fstar(series, top), profile
 

@@ -15,6 +15,8 @@ tests can check that the two agree:
   in X, against eth_root_substitute, which solves it in Y = X^e;
 * ref_compose_series evaluates every term of the outer series, against
   compose_series, which evaluates only the terms that reach below the cut;
+* ref_fstar divides the perturbation coefficients by F(pi) = u * pi^n,
+  through the unit's inverse, against fstar, which divides by pi^n alone;
 * envelope_at, canonical_lines and envelope_vertices evaluate, sweep and
   cross lines on Fractions, one or two per line, against PLFunction's
   integer numerators; ref_ge_report reads the bound and the tie sets off
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ramify.base import INFINITY, vp
+from ramify.copolygon import EpsilonSeries
 from ramify.errors import IndexUnresolved, PrecisionExhausted
-from ramify.oracle import FULL, nilpotency
+from ramify.oracle import FULL, _field_probe, nilpotency
 from ramify.invariants import phi
 from ramify.plfun import Line
 from ramify.series import (DualRing, Series, _scalar_root, check_tame_degree,
@@ -182,6 +185,20 @@ def ref_compose_series(outer, inner, out_horizon) -> Series:
     ring = DualRing(inner.ground, off + out_horizon)
     x = ring.element([inner.ground.zero()] * inner.offset + list(inner.coeffs))
     return Series(off, evaluate(outer, x).coeffs[off:])
+
+
+def ref_fstar(F, floor) -> EpsilonSeries:
+    """The expansion of F(pi)^(-1) * (F(pi(1+eps)) - F(pi)): each
+    eps-coefficient times the inverse of u = F(pi) / pi^n, then divided by
+    pi^n."""
+    n = F.offset
+    w = _field_probe(F, floor)
+    target = w.coeffs[0]
+    if target.valuation() != n:
+        raise PrecisionExhausted("series does not carry valuation %d" % n)
+    unit_inv = target.udiv(n).unit_inverse()
+    return EpsilonSeries(floor, n, [(c * unit_inv).udiv(n)
+                                    for c in w.coeffs[1:]])
 
 
 def line_at(line, x):

@@ -277,10 +277,10 @@ def test_non_integer_job_numbers_rejected(tmp_path, capsys, key, value):
 ])
 def test_no_digit_fits_exits_3(tmp_path, capsys, argv):
     # H = 2 digits past offset 2 fit from precision 4 on; the oracle's probe
-    # at c = 1 needs 5, which fit from 7 on; copolygon's divisions by pi^2
-    # spend 4 ground digits and reading its quotients to valuation H one
-    # more, so 5
-    enough = {"oracle": 7, "copolygon": 5}.get(argv[0], 4)
+    # at c = 1 needs 5, which fit from 7 on; copolygon's one division by
+    # pi^2 spends 2 ground digits and reading its quotients to valuation H
+    # one more, so the 4 the profile names suffice
+    enough = {"oracle": 7}.get(argv[0], 4)
     job = _write(tmp_path, dict(F2_QUADRATIC, precision=3))
     assert main([argv[0], job] + argv[1:]) == 3
     out, err = capsys.readouterr()
@@ -454,6 +454,25 @@ def test_answers_do_not_depend_on_precision(tmp_path, capsys, job):
             else:
                 assert (code, out) == (3, ""), (argv, precision, err)
                 assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["copolygon"], ["copolygon", "--norm", "vK"], ["copolygon", "--j", "0"],
+])
+@pytest.mark.parametrize("job", [TOWER, README_MIXED],
+                         ids=["readme_equal", "readme_mixed"])
+def test_copolygon_of_the_readme_tower_answers_at_precision_3(
+        tmp_path, capsys, job, argv):
+    # one division by pi^2 on M, and reading to H: the digits the profile
+    # of M/L reads at precision 3 are enough
+    def run(precision):
+        path = _write(tmp_path, dict(job, precision=precision))
+        code = main([argv[0], path, "--field", "M"] + argv[1:])
+        return code, capsys.readouterr().out
+
+    want = run(64)
+    assert want[0] == 0
+    assert run(3) == want
 
 
 F3_SQRT = dict(F3_CUBIC, steps=[

@@ -11,6 +11,9 @@ fails the test with the job, the precision and the command.
 Record the file again, after a change meant to alter these outputs, with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+which prints each entry whose digest changed, in the form a failure of
+the test prints.
 """
 
 from __future__ import annotations
@@ -88,22 +91,33 @@ def digests(name, folder):
     return out
 
 
+def changed(name, want, got):
+    """"job at precision P: command" for each run of ``want`` whose digest
+    ``got`` lacks or differs on, in the order of want."""
+    return ["%s at precision %s: %s" % ((name,) + tuple(k.split(" ", 1)))
+            for k in want if got.get(k) != want[k]]
+
+
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_cli_outputs_match_the_golden_file(tmp_path, name):
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[name]
     got = digests(name, str(tmp_path))
-    changed = ["%s at precision %s: %s" % ((name,) + tuple(k.split(" ", 1)))
-               for k in want if got.get(k) != want[k]]
     assert sorted(got) == sorted(want)
-    assert not changed, "\n".join(changed)
+    diff = changed(name, want, got)
+    assert not diff, "\n".join(diff)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_cli_golden.py --record")
+    with open(GOLDEN, encoding="utf-8") as fh:
+        old = json.load(fh)
     with tempfile.TemporaryDirectory() as folder:
         table = {name: digests(name, folder) for name in sorted(JOBS)}
+    for name in sorted(JOBS):
+        for line in changed(name, table[name], old.get(name, {})):
+            print(line)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramify.base import INFINITY, BaseScalar, GroundField
 from ramify.errors import NotEisenstein, PrecisionExhausted
 from ramify.extension import (EisensteinPoly, FloorElement, attach_eisenstein,
                               different_exponent)
+
+from conftest import short_scalar
+from test_times_pi import elements, floors, ground
 
 
 def test_attach_rejects_unit_constant_term():
@@ -79,6 +84,31 @@ def test_floor_unit_inverse(f2_quadratic):
     L = f2_quadratic.floor
     x = L.one() + L.uniformizer()
     assert x * x.unit_inverse() == L.one()
+
+
+def test_floor_unit_inverse_keeps_the_precision_of_x():
+    # 1 - x*w is zero to precision 3 at the Teichmuller start w = 1, so
+    # w is known to 3 digits in every coordinate, not to the ground's 20
+    K = GroundField.mixed_char(2, 20)
+    L = attach_eisenstein(K, EisensteinPoly([K.from_int(2), K.from_int(2)]))
+    x = FloorElement(L, [short_scalar(K.one(), 3), short_scalar(K.zero(), 3)])
+    assert [g.prec for g in x.unit_inverse().coords] == [3, 3]
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_floor_unit_inverse_claims_no_precision_x_lacks(data):
+    floor = data.draw(floors(steps=3))
+    x = data.draw(elements(floor, ("exact_zero", "zero", "digits", "short")))
+    x = x + floor.teichmuller(data.draw(st.integers(1, floor.p - 1)))
+    assume(x.residue() != 0)
+    try:
+        y = x.unit_inverse()
+    except PrecisionExhausted:
+        return
+    assert (x * y - 1).is_zero_to_precision()
+    least = min(prec for _, prec, exact in ground(x) if not exact)
+    assert all(prec <= least for _, prec, _ in ground(y))
 
 
 def test_floor_udiv_round_trip(f2_quadratic):

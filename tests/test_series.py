@@ -11,6 +11,7 @@ from ramify.errors import BadTameDegree, NotOneUnit
 from ramify.extension import EisensteinPoly, attach_eisenstein
 from ramify.series import (
     Series,
+    _scalar_root,
     compose_series,
     eth_root_substitute,
     evaluate,
@@ -89,6 +90,16 @@ def test_eth_root_requires_one_unit_lead(f3_cubic):
     assert S.coeffs[0].residue() == 2
     with pytest.raises(NotOneUnit):
         eth_root_substitute(S, 2)
+
+
+def test_scalar_root_keeps_the_precision_of_its_argument():
+    # y = 1 solves y^3 = c0 to the 5 digits c0 is known to, and no further;
+    # every lifted coefficient is known to those 5 digits at most
+    K = GroundField.equal_char(2, 64)
+    c0 = short_scalar(K.one(), 5)
+    assert _scalar_root(c0, 3, K).prec == 5
+    lifted = eth_root_substitute(Series(1, [c0, K.one()]), 3)
+    assert max(c.prec for c in lifted.coeffs if not c.exact_zero) == 5
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
